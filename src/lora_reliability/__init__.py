@@ -8,7 +8,6 @@ from .analytic import (
     QuadratureError,
     ScenarioProbabilities,
     combine_sf,
-    combine_snr_sf,
     outage_closed_form,
     outage_numeric_oracle,
     q_bound,
@@ -36,9 +35,6 @@ from .interference import (
     CO_CHANNEL_REJECTION,
     SirSample,
     received_power_mw,
-    sir_co_sf,
-    sir_inter_sf,
-    sir_max_co_sf,
     sir_sample,
     split_interference_power,
 )

@@ -151,12 +151,3 @@ def combine_sf(
     if mode == "outage-product":
         return 1.0 - p_co_outage * p_inter_outage
     raise ValueError(f"mode must be one of {JOINT_MODES}, got {mode!r}")
-
-
-def combine_snr_sf(p_snr: float, p_sf: float) -> float:
-    """Success under noise and SF interference jointly, assuming the two
-    mechanisms act independently (product of the success probabilities)."""
-    for name, value in (("p_snr", p_snr), ("p_sf", p_sf)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return p_snr * p_sf

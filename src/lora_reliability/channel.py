@@ -35,7 +35,6 @@ class ChannelModel:
     wavelength_m: float
     path_loss_exponent: float
     noise_mw: float
-    fading_mean_square: float = 1.0
     path_loss_form: str = "standard"
 
     def __post_init__(self) -> None:
@@ -47,8 +46,6 @@ class ChannelModel:
             )
         if self.noise_mw <= 0:
             raise ValueError(f"noise_mw must be > 0, got {self.noise_mw}")
-        if self.fading_mean_square != 1.0:
-            raise ValueError("fading is unit-mean; fading_mean_square is fixed at 1.0")
         if self.path_loss_form not in PATH_LOSS_FORMS:
             raise ValueError(
                 f"path_loss_form must be one of {PATH_LOSS_FORMS}, "
@@ -71,14 +68,12 @@ def path_loss(d_km: float, model: ChannelModel) -> float:
     """Free-space power gain (dimensionless, in (0, 1] beyond d = lambda/4pi)."""
     if d_km <= 0:
         raise ValueError(f"distance must be > 0 km, got {d_km}")
-    d_m = 1000.0 * d_km
-    if model.path_loss_form == "paper_literal":
-        return model.wavelength_m / (4.0 * math.pi * d_m) ** model.path_loss_exponent
-    return (model.wavelength_m / (4.0 * math.pi * d_m)) ** model.path_loss_exponent
+    return path_loss_array(d_km, model)
 
 
 def path_loss_array(d_km: np.ndarray, model: ChannelModel) -> np.ndarray:
-    """Vector counterpart of :func:`path_loss` (inputs assumed > 0)."""
+    """Vector counterpart of :func:`path_loss` (inputs assumed > 0); on a
+    Python float it returns a Python float."""
     d_m = 1000.0 * d_km
     if model.path_loss_form == "paper_literal":
         return model.wavelength_m / (4.0 * math.pi * d_m) ** model.path_loss_exponent

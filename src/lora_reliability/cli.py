@@ -198,18 +198,16 @@ def _check_q_function() -> tuple[bool, str]:
 
 def _check_sf_schedule() -> tuple[bool, str]:
     rows = sf_table()
+    radius_km = 12.0
     ok = (
         len(rows) == 6
         and all(a.snr_threshold_db > b.snr_threshold_db for a, b in zip(rows, rows[1:]))
         and all(a.airtime_ms < b.airtime_ms for a, b in zip(rows, rows[1:]))
         and all(a.bitrate_kbps > b.bitrate_kbps for a, b in zip(rows, rows[1:]))
-        and rows[0].annulus_inner_frac == 0.0
-        and rows[-1].annulus_outer_frac == 1.0
-        and all(
-            a.annulus_outer_frac == b.annulus_inner_frac for a, b in zip(rows, rows[1:])
-        )
+        and all(annulus_to_sf(k * radius_km / 6.0, radius_km) == 7 + k for k in range(6))
+        and annulus_to_sf(radius_km, radius_km) == 12
     )
-    return ok, "SF schedule monotone, annuli tile [0, 1]"
+    return ok, "SF schedule monotone, ring k*R/6 starts SF 7+k, R maps to SF 12"
 
 
 def _check_conversion_round_trip() -> tuple[bool, str]:

@@ -16,9 +16,6 @@ __all__ = [
     "SirSample",
     "received_power_mw",
     "split_interference_power",
-    "sir_max_co_sf",
-    "sir_co_sf",
-    "sir_inter_sf",
     "sir_sample",
 ]
 
@@ -60,42 +57,6 @@ def split_interference_power(
             continue
         (same if dev.sf == sf else other).append(received_power_mw(dev, model))
     return math.fsum(same), math.fsum(other)
-
-
-def _max_same_sf_power(r: Realization, model: ChannelModel) -> float:
-    best = 0.0
-    sf = r.desired.sf
-    for dev in r.interferers:
-        if dev.active and dev.sf == sf:
-            best = max(best, received_power_mw(dev, model))
-    return best
-
-
-def sir_max_co_sf(
-    r: Realization, model: ChannelModel, rejection: float = CO_CHANNEL_REJECTION
-) -> float:
-    """SIR against the strongest active same-SF interferer, scaled by the
-    rejection margin; inf when there is none."""
-    strongest = _max_same_sf_power(r, model)
-    if strongest == 0.0:
-        return math.inf
-    return rejection * received_power_mw(r.desired, model) / strongest
-
-
-def sir_co_sf(r: Realization, model: ChannelModel) -> float:
-    """SIR against the sum of active same-SF interferers; inf when none."""
-    same, _ = split_interference_power(r, model)
-    if same == 0.0:
-        return math.inf
-    return received_power_mw(r.desired, model) / same
-
-
-def sir_inter_sf(r: Realization, model: ChannelModel) -> float:
-    """SIR against the sum of active different-SF interferers; inf when none."""
-    _, other = split_interference_power(r, model)
-    if other == 0.0:
-        return math.inf
-    return received_power_mw(r.desired, model) / other
 
 
 def sir_sample(

@@ -18,6 +18,7 @@ the explicit candidate-plus-thinning form.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ from .analytic import (
     SIR_MODES,
     ScenarioProbabilities,
     combine_sf,
-    combine_snr_sf,
     outage_closed_form,
     success_from_sir,
     success_from_sir_array,
@@ -74,6 +74,8 @@ class SweepSpec:
             raise ValueError(f"kind must be 'distance' or 'density', got {self.kind!r}")
         if not self.grid:
             raise ValueError("grid must not be empty")
+        if not all(math.isfinite(x) for x in self.grid):
+            raise ValueError(f"grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
         low = self.grid[0]
@@ -129,8 +131,8 @@ def default_density_grid(
     n_bar_max: float = 3000.0, points: int = DENSITY_GRID_POINTS
 ) -> tuple[float, ...]:
     """Log-spaced mean device counts from 1 to ``n_bar_max`` inclusive."""
-    if n_bar_max <= 1:
-        raise ValueError(f"n_bar_max must be > 1, got {n_bar_max}")
+    if not (math.isfinite(n_bar_max) and n_bar_max > 1):
+        raise ValueError(f"n_bar_max must be finite and > 1, got {n_bar_max}")
     grid = np.geomspace(1.0, n_bar_max, points)
     grid[0], grid[-1] = 1.0, float(n_bar_max)
     return tuple(float(x) for x in grid)
@@ -192,6 +194,13 @@ def _batches(n: int, size: int = _BATCH) -> list[tuple[int, int]]:
     return out
 
 
+def _ring(u: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Distance ``max(d_min, R * sqrt(u))`` of uniform-by-area draws and its
+    annulus index 0..5 (SF minus 7)."""
+    dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
+    return dist, np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
+
+
 def _field_sirs(
     rng: np.random.Generator,
     s_desired: np.ndarray,
@@ -213,9 +222,7 @@ def _field_sirs(
     if total == 0:
         return g_max, g_co, g_inter
 
-    u = rng.random(total)
-    dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
-    ann = np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
+    dist, ann = _ring(rng.random(total), cfg)
     fading = rng.exponential(size=total)
     powers = tx_mw * fading * path_loss_array(dist, model)
 
@@ -242,152 +249,66 @@ def _joint_success(s_co: np.ndarray, s_inter: np.ndarray, mode: str) -> np.ndarr
     return 1.0 - (1.0 - s_co) * (1.0 - s_inter)
 
 
-def _distance_point(
+def _point(
     cfg: NetworkConfig,
     model: ChannelModel,
     spec: SweepSpec,
-    point_index: int,
-    d_km: float,
-    tx_mw: float,
-) -> CurvePoint:
-    annulus_idx = annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
-    p_snr = snr_success_probability(d_km, annulus_idx + SF_MIN, cfg, model.path_loss_form)
-    gain = path_loss(d_km, model)
-    substitution = spec.sir_mode == "substitution"
-    success = {key: _MeanAcc() for key in ("max_co", "co", "sf")}
-    gammas = {key: _FiniteAcc() for key in ("max_co", "co", "inter")}
-
-    for batch_index, batch in _batches(spec.realizations_per_point):
-        rng = np.random.default_rng([spec.seed, _TAG_DISTANCE, point_index, batch_index])
-        fading = rng.exponential(size=batch)
-        s_desired = (tx_mw * gain) * fading
-        g_max, g_co, g_inter = _field_sirs(
-            rng, s_desired, annulus_idx, cfg.mean_devices, cfg, model, tx_mw
-        )
-        if substitution:
-            s_max = success_from_sir_array(g_max)
-            s_co = success_from_sir_array(g_co)
-            s_inter = success_from_sir_array(g_inter)
-            success["max_co"].add(s_max)
-            success["co"].add(s_co)
-            success["sf"].add(_joint_success(s_co, s_inter, spec.joint_mode))
-        else:
-            gammas["max_co"].add(g_max)
-            gammas["co"].add(g_co)
-            gammas["inter"].add(g_inter)
-
-    if substitution:
-        p_sf = success["sf"].mean
-        se_sf = success["sf"].stderr
-        probs = ScenarioProbabilities(
-            p_snr=p_snr,
-            p_max_co=success["max_co"].mean,
-            p_co=success["co"].mean,
-            p_sf=p_sf,
-            p_snr_sf=p_snr * p_sf,
-        )
-        stderr = ScenarioProbabilities(
-            p_snr=0.0,
-            p_max_co=success["max_co"].stderr,
-            p_co=success["co"].stderr,
-            p_sf=se_sf,
-            p_snr_sf=p_snr * se_sf,
-        )
-    else:
-        mean_co = gammas["co"].mean_or_inf
-        mean_inter = gammas["inter"].mean_or_inf
-        p_sf = combine_sf(
-            outage_closed_form(mean_co), outage_closed_form(mean_inter), spec.joint_mode
-        )
-        probs = ScenarioProbabilities(
-            p_snr=p_snr,
-            p_max_co=success_from_sir(gammas["max_co"].mean_or_inf),
-            p_co=success_from_sir(mean_co),
-            p_sf=p_sf,
-            p_snr_sf=combine_snr_sf(p_snr, p_sf),
-        )
-        stderr = ScenarioProbabilities(0.0, 0.0, 0.0, 0.0, 0.0)
-    return CurvePoint(abscissa=d_km, probs=probs, stderr=stderr)
-
-
-def _density_point(
-    cfg: NetworkConfig,
-    model: ChannelModel,
-    spec: SweepSpec,
-    point_index: int,
+    abscissa: float,
     n_bar: float,
     tx_mw: float,
-    theta_linear: np.ndarray,
+    draw: Callable[[int, int], tuple],
+    p_snr: float | None = None,
 ) -> CurvePoint:
-    substitution = spec.sir_mode == "substitution"
-    success = {key: _MeanAcc() for key in ("snr", "max_co", "co", "sf", "snr_sf")}
-    gammas = {key: _FiniteAcc() for key in ("max_co", "co", "inter")}
+    """One sweep point.
 
+    ``draw(batch_index, batch)`` places the desired devices of a batch: it
+    returns the generator that drives their fading and the interference
+    field, their path gain and annulus index, and their per-realization
+    noise-only success, or None when ``p_snr`` is given in closed form.
+    Success and finite-SIR sums are accumulated in one pass; the SIR mode
+    only picks which of them make the result.
+    """
+    snr, snr_sf = _MeanAcc(), _MeanAcc()
+    success = [_MeanAcc() for _ in range(3)]  # max_co, co, sf
+    finite = [_FiniteAcc() for _ in range(3)]  # max_co, co, inter
     for batch_index, batch in _batches(spec.realizations_per_point):
-        # Desired positions come from a point-independent stream so the
-        # noise-only coverage column is bit-identical across the grid.
-        rng_desired = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
-        rng_field = np.random.default_rng(
-            [spec.seed, _TAG_DENSITY_FIELD, point_index, batch_index]
-        )
-        u = rng_desired.random(batch)
-        d = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
-        ann = np.minimum((6.0 * d / cfg.cell_radius_km).astype(np.int64), 5)
-        gain = path_loss_array(d, model)
-        s_snr = np.exp(-(model.noise_mw * theta_linear[ann]) / (tx_mw * gain))
-        success["snr"].add(s_snr)
+        rng, gain, annulus, s_snr = draw(batch_index, batch)
+        fading = rng.exponential(size=batch)
+        sirs = _field_sirs(rng, (tx_mw * gain) * fading, annulus, n_bar, cfg, model, tx_mw)
+        s_max, s_co, s_inter = (success_from_sir_array(g) for g in sirs)
+        s_sf = _joint_success(s_co, s_inter, spec.joint_mode)
+        for acc, values in zip(success, (s_max, s_co, s_sf)):
+            acc.add(values)
+        for acc, gammas in zip(finite, sirs):
+            acc.add(gammas)
+        if s_snr is not None:
+            snr.add(s_snr)
+            snr_sf.add(s_snr * s_sf)
 
-        fading = rng_field.exponential(size=batch)
-        s_desired = tx_mw * gain * fading
-        g_max, g_co, g_inter = _field_sirs(
-            rng_field, s_desired, ann, n_bar, cfg, model, tx_mw
-        )
-        if substitution:
-            s_max = success_from_sir_array(g_max)
-            s_co = success_from_sir_array(g_co)
-            s_inter = success_from_sir_array(g_inter)
-            s_sf = _joint_success(s_co, s_inter, spec.joint_mode)
-            success["max_co"].add(s_max)
-            success["co"].add(s_co)
-            success["sf"].add(s_sf)
-            success["snr_sf"].add(s_snr * s_sf)
-        else:
-            gammas["max_co"].add(g_max)
-            gammas["co"].add(g_co)
-            gammas["inter"].add(g_inter)
-
-    p_snr = success["snr"].mean
-    se_snr = success["snr"].stderr
-    if substitution:
-        probs = ScenarioProbabilities(
-            p_snr=p_snr,
-            p_max_co=success["max_co"].mean,
-            p_co=success["co"].mean,
-            p_sf=success["sf"].mean,
-            p_snr_sf=success["snr_sf"].mean,
-        )
-        stderr = ScenarioProbabilities(
-            p_snr=se_snr,
-            p_max_co=success["max_co"].stderr,
-            p_co=success["co"].stderr,
-            p_sf=success["sf"].stderr,
-            p_snr_sf=success["snr_sf"].stderr,
-        )
+    se_snr = 0.0
+    if p_snr is None:
+        p_snr, se_snr = snr.mean, snr.stderr
+    if spec.sir_mode == "substitution":
+        p_max, p_co, p_sf = (acc.mean for acc in success)
+        se_max, se_co, se_sf = (acc.stderr for acc in success)
     else:
-        mean_co = gammas["co"].mean_or_inf
-        mean_inter = gammas["inter"].mean_or_inf
+        mean_max, mean_co, mean_inter = (acc.mean_or_inf for acc in finite)
+        p_max, p_co = success_from_sir(mean_max), success_from_sir(mean_co)
         p_sf = combine_sf(
             outage_closed_form(mean_co), outage_closed_form(mean_inter), spec.joint_mode
         )
-        probs = ScenarioProbabilities(
-            p_snr=p_snr,
-            p_max_co=success_from_sir(gammas["max_co"].mean_or_inf),
-            p_co=success_from_sir(mean_co),
-            p_sf=p_sf,
-            p_snr_sf=combine_snr_sf(p_snr, p_sf),
-        )
-        stderr = ScenarioProbabilities(se_snr, 0.0, 0.0, 0.0, 0.0)
-    return CurvePoint(abscissa=n_bar, probs=probs, stderr=stderr)
+        se_max = se_co = se_sf = 0.0
+    # A random desired position couples noise and interference, so the
+    # substitution mode averages their per-realization product there.
+    if snr_sf.count and spec.sir_mode == "substitution":
+        p_snr_sf, se_snr_sf = snr_sf.mean, snr_sf.stderr
+    else:
+        p_snr_sf, se_snr_sf = p_snr * p_sf, p_snr * se_sf
+    return CurvePoint(
+        abscissa=abscissa,
+        probs=ScenarioProbabilities(p_snr, p_max, p_co, p_sf, p_snr_sf),
+        stderr=ScenarioProbabilities(se_snr, se_max, se_co, se_sf, se_snr_sf),
+    )
 
 
 def _run_points(worker, n_points: int, threads: int) -> list[CurvePoint]:
@@ -421,7 +342,16 @@ def success_vs_distance(
     tx_mw = dbm_to_mw(cfg.tx_power_dbm)
 
     def worker(i: int) -> CurvePoint:
-        return _distance_point(cfg, model, spec, i, spec.grid[i], tx_mw)
+        d_km = spec.grid[i]
+        sf = annulus_to_sf(d_km, cfg.cell_radius_km)
+        gain = path_loss(d_km, model)
+
+        def draw(batch_index: int, batch: int):
+            rng = np.random.default_rng([spec.seed, _TAG_DISTANCE, i, batch_index])
+            return rng, gain, sf - SF_MIN, None
+
+        p_snr = snr_success_probability(d_km, sf, cfg, path_loss_form)
+        return _point(cfg, model, spec, d_km, cfg.mean_devices, tx_mw, draw, p_snr)
 
     return _run_points(worker, len(spec.grid), threads)
 
@@ -443,7 +373,17 @@ def coverage_vs_density(
     theta_linear = np.array([db_to_linear(row.snr_threshold_db) for row in sf_table()])
 
     def worker(i: int) -> CurvePoint:
-        return _density_point(cfg, model, spec, i, spec.grid[i], tx_mw, theta_linear)
+        def draw(batch_index: int, batch: int):
+            # Desired positions come from a point-independent stream so the
+            # noise-only coverage column is bit-identical across the grid.
+            rng_desired = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
+            dist, annulus = _ring(rng_desired.random(batch), cfg)
+            gain = path_loss_array(dist, model)
+            s_snr = np.exp(-(model.noise_mw * theta_linear[annulus]) / (tx_mw * gain))
+            rng = np.random.default_rng([spec.seed, _TAG_DENSITY_FIELD, i, batch_index])
+            return rng, gain, annulus, s_snr
+
+        return _point(cfg, model, spec, spec.grid[i], spec.grid[i], tx_mw, draw)
 
     return _run_points(worker, len(spec.grid), threads)
 

@@ -21,9 +21,8 @@ class ConfigError(ValueError):
 class SfParams:
     """Radio parameters of one spreading factor.
 
-    The annulus bounds are fractions of the cell radius; a device whose
-    distance falls inside ``[annulus_inner_frac * R, annulus_outer_frac * R)``
-    is assigned this SF (the outermost annulus is closed at ``R``).
+    SF ``7 + k`` serves the annulus ``[k*R/6, (k+1)*R/6)`` of the cell; see
+    :func:`lora_reliability.geometry.annulus_to_sf`.
     """
 
     sf: int
@@ -34,17 +33,15 @@ class SfParams:
     # the SIR/SNR model is driven by snr_threshold_db alone.
     sensitivity_dbm: float
     snr_threshold_db: float
-    annulus_inner_frac: float
-    annulus_outer_frac: float
 
 
 _SF_TABLE: tuple[SfParams, ...] = (
-    SfParams(7, 5.468, 36.6, 98, -123.0, -6.0, 0 / 6, 1 / 6),
-    SfParams(8, 3.125, 64.0, 56, -126.0, -9.0, 1 / 6, 2 / 6),
-    SfParams(9, 1.757, 113.0, 31, -129.0, -12.0, 2 / 6, 3 / 6),
-    SfParams(10, 0.967, 204.0, 17, -132.0, -15.0, 3 / 6, 4 / 6),
-    SfParams(11, 0.537, 372.0, 9, -134.5, -17.5, 4 / 6, 5 / 6),
-    SfParams(12, 0.293, 682.0, 5, -137.0, -20.0, 5 / 6, 6 / 6),
+    SfParams(7, 5.468, 36.6, 98, -123.0, -6.0),
+    SfParams(8, 3.125, 64.0, 56, -126.0, -9.0),
+    SfParams(9, 1.757, 113.0, 31, -129.0, -12.0),
+    SfParams(10, 0.967, 204.0, 17, -132.0, -15.0),
+    SfParams(11, 0.537, 372.0, 9, -134.5, -17.5),
+    SfParams(12, 0.293, 682.0, 5, -137.0, -20.0),
 )
 
 SF_MIN = 7
@@ -81,7 +78,6 @@ class NetworkConfig:
     duty_cycle: float = 0.01
     mean_devices: float = 1500.0
     cell_radius_km: float = 12.0
-    annuli: int = 6
     # 1 m clamp: the free-space gain diverges as d -> 0 and the plotted range
     # never goes below ~0.1 km, so the clamp is physically inert.
     min_distance_km: float = 0.001
@@ -89,6 +85,10 @@ class NetworkConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if self.carrier_hz <= 0:
@@ -103,8 +103,6 @@ class NetworkConfig:
             raise ConfigError(f"mean_devices must be >= 0, got {self.mean_devices}")
         if self.cell_radius_km <= 0:
             raise ConfigError(f"cell_radius_km must be > 0, got {self.cell_radius_km}")
-        if self.annuli != 6:
-            raise ConfigError(f"annuli is fixed at 6, got {self.annuli}")
         if not 0 < self.min_distance_km < self.cell_radius_km:
             raise ConfigError(
                 "min_distance_km must satisfy 0 < min_distance_km < cell_radius_km, "
@@ -153,7 +151,7 @@ def wavelength_m(cfg: NetworkConfig) -> float:
 # NetworkConfig field names.  `#` starts a comment; blank lines are ignored.
 # Unknown or duplicate keys are errors; omitted keys keep their defaults.
 
-_INT_FIELDS = frozenset({"annuli", "realizations", "seed"})
+_INT_FIELDS = frozenset({"realizations", "seed"})
 _FIELD_NAMES = frozenset(f.name for f in fields(NetworkConfig))
 
 

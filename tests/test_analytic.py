@@ -9,7 +9,6 @@ from lora_reliability.analytic import (
     QuadratureError,
     ScenarioProbabilities,
     combine_sf,
-    combine_snr_sf,
     outage_closed_form,
     outage_numeric_oracle,
     q_bound,
@@ -190,14 +189,6 @@ def test_combine_sf_outage_product_above_factors(o_co, o_inter):
     joint = combine_sf(o_co, o_inter, mode="outage-product")
     assert joint >= 1.0 - o_co - 1e-15
     assert joint >= 1.0 - o_inter - 1e-15
-
-
-def test_combine_snr_sf():
-    assert combine_snr_sf(1.0, 0.37) == 0.37
-    assert combine_snr_sf(0.9, 0.5) == pytest.approx(0.45, rel=1e-12)
-    assert combine_snr_sf(0.0, 0.8) == 0.0
-    with pytest.raises(ValueError):
-        combine_snr_sf(1.2, 0.5)
 
 
 def test_scenario_probabilities_validation():

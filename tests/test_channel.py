@@ -88,8 +88,6 @@ def test_channel_model_validation():
     with pytest.raises(ValueError):
         _model(noise=0.0)
     with pytest.raises(ValueError):
-        ChannelModel(0.3, 2.7, 1e-12, fading_mean_square=2.0)
-    with pytest.raises(ValueError):
         _model(form="hata")
 
 
@@ -97,7 +95,6 @@ def test_channel_model_from_config():
     m = ChannelModel.from_config(NetworkConfig())
     assert m.wavelength_m == pytest.approx(0.3453432300426218, rel=1e-12)
     assert m.noise_mw == pytest.approx(1.9811164905763876e-12, rel=1e-10)
-    assert m.fading_mean_square == 1.0
 
 
 def test_fading_mean_and_support():

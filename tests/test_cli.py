@@ -190,6 +190,30 @@ def test_bad_config_value_fails(tmp_path, capsys):
     assert "duty_cycle" in err
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["sweep-distance", "--mean-devices", "nan"], "mean_devices"),
+        (["sweep-density", "--mean-devices", "inf"], "mean_devices"),
+        (["sweep-density", "--n-bar-max", "nan"], "n_bar_max"),
+        (["sweep-density", "--n-bar-max", "inf"], "n_bar_max"),
+    ],
+)
+def test_non_finite_flag_fails_naming_key(args, key, capsys):
+    code, out, err = run_cli(args + ["--realizations", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
+def test_non_finite_config_value_fails_naming_key(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("cell_radius_km = inf\n", encoding="utf-8")
+    code, _, err = run_cli(["sweep-distance", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert "cell_radius_km" in err
+
+
 def test_missing_config_file_fails(capsys):
     code, _, err = run_cli(["sweep-distance", "--config", "/nonexistent.cfg"], capsys)
     assert code != 0

@@ -15,9 +15,6 @@ from lora_reliability.geometry import (
 from lora_reliability.interference import (
     CO_CHANNEL_REJECTION,
     received_power_mw,
-    sir_co_sf,
-    sir_inter_sf,
-    sir_max_co_sf,
     sir_sample,
     split_interference_power,
 )
@@ -60,13 +57,13 @@ def test_received_power_linear_in_tx_power():
 def test_sir_max_no_same_sf_interferer():
     desired = _device(1.0, 1.0)
     r = _realization(desired, [_device(5.0, 1.0)])  # different annulus -> different SF
-    assert sir_max_co_sf(r, MODEL) == math.inf
+    assert sir_sample(r, MODEL).gamma_max_co == math.inf
 
 
 def test_sir_max_single_equal_interferer():
     desired = _device(1.0, 0.8)
     twin = _device(1.0, 0.8)  # identical received power
-    assert sir_max_co_sf(_realization(desired, [twin]), MODEL) == 4.0
+    assert sir_sample(_realization(desired, [twin]), MODEL).gamma_max_co == 4.0
 
 
 def test_sir_max_picks_strongest():
@@ -74,49 +71,49 @@ def test_sir_max_picks_strongest():
     weak = _device(1.0, 0.8)
     strong = _device(1.0, 1.6)  # exactly twice the power
     r = _realization(desired, [weak, strong])
-    assert sir_max_co_sf(r, MODEL) == 2.0
+    assert sir_sample(r, MODEL).gamma_max_co == 2.0
 
 
 def test_sir_max_ignores_inactive():
     desired = _device(1.0, 0.8)
     dormant = _device(1.0, 10.0, active=False)
-    assert sir_max_co_sf(_realization(desired, [dormant]), MODEL) == math.inf
+    assert sir_sample(_realization(desired, [dormant]), MODEL).gamma_max_co == math.inf
 
 
 def test_sir_max_custom_rejection():
     desired = _device(1.0, 0.8)
     twin = _device(1.0, 0.8)
-    assert sir_max_co_sf(_realization(desired, [twin]), MODEL, rejection=1.0) == 1.0
+    assert sir_sample(_realization(desired, [twin]), MODEL, rejection=1.0).gamma_max_co == 1.0
 
 
 def test_sir_co_single_interferer():
     desired = _device(1.0, 0.8)
     twin = _device(1.0, 0.8)
-    assert sir_co_sf(_realization(desired, [twin]), MODEL) == 1.0
+    assert sir_sample(_realization(desired, [twin]), MODEL).gamma_co == 1.0
 
 
 def test_sir_co_sums_powers():
     desired = _device(1.0, 0.8)
     r = _realization(desired, [_device(1.0, 0.8), _device(1.0, 1.6)])
-    assert sir_co_sf(r, MODEL) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert sir_sample(r, MODEL).gamma_co == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_sir_co_empty_set():
     desired = _device(1.0, 0.8)
-    assert sir_co_sf(_realization(desired, []), MODEL) == math.inf
+    assert sir_sample(_realization(desired, []), MODEL).gamma_co == math.inf
 
 
 def test_sir_inter_all_same_sf():
     desired = _device(1.0, 0.8)
     r = _realization(desired, [_device(1.0, 1.0), _device(1.5, 2.0)])
-    assert sir_inter_sf(r, MODEL) == math.inf
+    assert sir_sample(r, MODEL).gamma_inter == math.inf
 
 
 def test_sir_inter_half_power_interferer():
     desired = _device(1.0, 0.8)
     other = _device(1.0, 0.4)  # same distance, half the fading -> half the power
     other = EndDevice(other.position, 9, other.tx_power_mw, other.fading, True)
-    assert sir_inter_sf(_realization(desired, [other]), MODEL) == 2.0
+    assert sir_sample(_realization(desired, [other]), MODEL).gamma_inter == 2.0
 
 
 def test_sir_inter_matches_brute_force_sum():
@@ -133,7 +130,7 @@ def test_sir_inter_matches_brute_force_sum():
         for dev in interferers
         if dev.active and dev.sf != desired.sf
     )
-    assert sir_inter_sf(r, MODEL) == pytest.approx(s / brute, rel=1e-12)
+    assert sir_sample(r, MODEL).gamma_inter == pytest.approx(s / brute, rel=1e-12)
 
 
 def test_split_interference_partition():
@@ -174,9 +171,21 @@ def test_sir_sample_consistent_with_individual_ops():
     for _ in range(20):
         r = sample_realization(cfg, 4.0, rng)
         s = sir_sample(r, model)
-        assert s.gamma_max_co == sir_max_co_sf(r, model)
-        assert s.gamma_co == sir_co_sf(r, model)
-        assert s.gamma_inter == sir_inter_sf(r, model)
+        desired = received_power_mw(r.desired, model)
+        same, other = split_interference_power(r, model)
+        strongest = max(
+            (
+                received_power_mw(dev, model)
+                for dev in r.interferers
+                if dev.active and dev.sf == r.desired.sf
+            ),
+            default=0.0,
+        )
+        assert s.gamma_max_co == (
+            CO_CHANNEL_REJECTION * desired / strongest if strongest > 0.0 else math.inf
+        )
+        assert s.gamma_co == (desired / same if same > 0.0 else math.inf)
+        assert s.gamma_inter == (desired / other if other > 0.0 else math.inf)
 
 
 @st.composite
@@ -213,9 +222,7 @@ def test_scale_invariance_exact_for_power_of_two(r, k):
             for d in r.interferers
         ],
     )
-    assert sir_max_co_sf(scaled, MODEL) == sir_max_co_sf(r, MODEL)
-    assert sir_co_sf(scaled, MODEL) == sir_co_sf(r, MODEL)
-    assert sir_inter_sf(scaled, MODEL) == sir_inter_sf(r, MODEL)
+    assert sir_sample(scaled, MODEL) == sir_sample(r, MODEL)
 
 
 @given(_synthetic_realizations(), st.floats(min_value=0.1, max_value=10.0))
@@ -233,8 +240,9 @@ def test_scale_invariance_approximate_for_any_factor(r, factor):
             for d in r.interferers
         ],
     )
-    for op in (sir_max_co_sf, sir_co_sf, sir_inter_sf):
-        a, b = op(r, MODEL), op(scaled, MODEL)
+    base, other = sir_sample(r, MODEL), sir_sample(scaled, MODEL)
+    for field in ("gamma_max_co", "gamma_co", "gamma_inter"):
+        a, b = getattr(base, field), getattr(other, field)
         if math.isinf(a):
             assert math.isinf(b)
         else:

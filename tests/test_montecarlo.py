@@ -43,6 +43,12 @@ def test_spec_validation():
         SweepSpec(kind="distance", grid=(1.0,), realizations_per_point=10, seed=0, joint_mode="sum")
     with pytest.raises(ValueError):
         SweepSpec(kind="distance", grid=(1.0,), realizations_per_point=10, seed=0, sir_mode="mode")
+    for grid in ((math.nan,), (1.0, math.inf), (0.0, math.nan, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(kind="density", grid=grid, realizations_per_point=10, seed=0)
+    for n_bar_max in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            default_density_grid(n_bar_max)
 
 
 def test_sweep_kind_mismatch():

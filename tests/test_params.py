@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lora_reliability.geometry import annulus_to_sf
 from lora_reliability.params import (
     ConfigError,
     NetworkConfig,
@@ -32,8 +34,6 @@ def test_sf_table_first_row():
     assert row.tx_per_hour == 98
     assert row.sensitivity_dbm == -123.0
     assert row.snr_threshold_db == -6.0
-    assert row.annulus_inner_frac == 0.0
-    assert row.annulus_outer_frac == pytest.approx(1 / 6)
 
 
 def test_sf_table_last_row():
@@ -44,8 +44,6 @@ def test_sf_table_last_row():
     assert row.tx_per_hour == 5
     assert row.sensitivity_dbm == -137.0
     assert row.snr_threshold_db == -20.0
-    assert row.annulus_inner_frac == pytest.approx(5 / 6)
-    assert row.annulus_outer_frac == 1.0
 
 
 def test_sf_table_monotonicity_invariants():
@@ -58,13 +56,11 @@ def test_sf_table_monotonicity_invariants():
 
 
 def test_annuli_tile_unit_interval():
-    rows = sf_table()
-    assert rows[0].annulus_inner_frac == 0.0
-    assert rows[-1].annulus_outer_frac == 1.0
-    for a, b in zip(rows, rows[1:]):
-        assert a.annulus_outer_frac == b.annulus_inner_frac
-    for r in rows:
-        assert r.annulus_outer_frac - r.annulus_inner_frac == pytest.approx(1 / 6)
+    # Ring k starts at k*R/6 and serves SF 7+k; the cell edge R is in SF 12.
+    r = 12.0
+    for k in range(6):
+        assert annulus_to_sf(k * r / 6, r) == sf_table()[k].sf == 7 + k
+    assert annulus_to_sf(r, r) == 12
 
 
 def test_sf_params_lookup():
@@ -138,7 +134,6 @@ def test_defaults_match_reference_table():
     assert cfg.duty_cycle == 0.01
     assert cfg.mean_devices == 1500.0
     assert cfg.cell_radius_km == 12.0
-    assert cfg.annuli == 6
     assert cfg.realizations == 100_000
 
 
@@ -153,15 +148,16 @@ def test_defaults_match_reference_table():
         {"duty_cycle": 1.5},
         {"mean_devices": -1.0},
         {"cell_radius_km": 0.0},
-        {"annuli": 7},
         {"min_distance_km": 0.0},
         {"min_distance_km": 12.0},
         {"realizations": 0},
         {"seed": -1},
-    ],
+    ]
+    + [{f.name: v} for f in fields(NetworkConfig) for v in (math.nan, math.inf)],
 )
 def test_invalid_config_rejected(kwargs):
-    with pytest.raises(ConfigError):
+    (key,) = kwargs
+    with pytest.raises(ConfigError, match=key):
         NetworkConfig(**kwargs)
 
 
@@ -194,6 +190,9 @@ def test_parse_config_text_overrides_and_comments():
 def test_parse_config_text_unknown_key_names_offender():
     with pytest.raises(ConfigError, match="radius_km"):
         parse_config_text("radius_km = 12")
+    # The six SF annuli are fixed by the model, not configurable.
+    with pytest.raises(ConfigError, match="unknown config key 'annuli'"):
+        parse_config_text("annuli = 6")
 
 
 def test_parse_config_text_duplicate_key():
