@@ -94,6 +94,19 @@ def test_annulus_boundaries_are_half_open():
     assert annulus_to_sf(math.nextafter(10.0, 0.0), 12.0) == 11
 
 
+def test_annulus_ring_starts_exact_for_every_radius():
+    # Truncating 6*d/R misplaces a ring start on 58 of these radii, the
+    # first at R = 0.7 km.
+    for tenths in range(1, 301):
+        r = tenths / 10
+        assert annulus_to_sf(0.0, r) == 7
+        assert annulus_to_sf(r, r) == 12
+        for k in range(1, 6):
+            start = k * r / 6
+            assert annulus_to_sf(start, r) == 7 + k, (r, k)
+            assert annulus_to_sf(math.nextafter(start, 0.0), r) == 6 + k, (r, k)
+
+
 def test_annulus_out_of_cell():
     with pytest.raises(OutOfCellError):
         annulus_to_sf(-0.1, 12.0)

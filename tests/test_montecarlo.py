@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lora_reliability import montecarlo
 from lora_reliability.channel import ChannelModel, snr_success_probability
+from lora_reliability.cli import curve_to_csv
 from lora_reliability.geometry import sample_realization
 from lora_reliability.interference import sir_sample
 from lora_reliability.montecarlo import (
@@ -15,7 +18,7 @@ from lora_reliability.montecarlo import (
     success_vs_distance,
 )
 from lora_reliability.analytic import success_from_sir
-from lora_reliability.params import NetworkConfig
+from lora_reliability.params import NetworkConfig, dbm_to_mw
 
 
 def _distance_spec(grid, n=2000, seed=7, **kw):
@@ -115,6 +118,45 @@ def test_density_determinism_across_thread_counts():
     assert coverage_vs_density(cfg, spec, threads=1) == coverage_vs_density(
         cfg, spec, threads=6
     )
+
+
+@pytest.mark.parametrize("chunk", [1, 97])
+def test_output_independent_of_chunk_size(monkeypatch, chunk):
+    """The interferers-per-chunk cap is not part of the stream contract.
+    n_bar = 0 and 1 leave most realizations empty, so empty realizations
+    fall at chunk ends; chunk 1 makes every busy realization its own
+    chunk."""
+    cfg = NetworkConfig()
+    distance = _distance_spec((0.5, 6.0, 11.5), n=5000, seed=5)
+    density = _density_spec((0.0, 1.0, 30.0, 3000.0), n=5000, seed=5)
+
+    def csvs():
+        return (
+            curve_to_csv(success_vs_distance(cfg, distance), "d_km"),
+            curve_to_csv(coverage_vs_density(cfg, density), "n_bar"),
+        )
+
+    default = csvs()
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    assert csvs() == default
+
+
+def test_kernel_memory_bounded_by_chunk():
+    # About 4e6 active interferers in one 4096-realization batch; without
+    # chunking the kernel holds about 10 arrays of that length (>200 MB).
+    cfg = NetworkConfig()
+    model = ChannelModel.from_config(cfg)
+    s_desired = np.full(4096, 1e-9)
+    tracemalloc.start()
+    try:
+        sirs = montecarlo._field_sirs(
+            np.random.default_rng(0), s_desired, 3, 1e5, cfg, model, dbm_to_mw(cfg.tx_power_dbm)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(g).all() for g in sirs)
+    assert peak < 16e6
 
 
 def test_scenario_ordering_every_point():
