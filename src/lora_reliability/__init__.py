@@ -32,7 +32,6 @@ from .geometry import (
     sample_uniform_position,
 )
 from .interference import (
-    CO_CHANNEL_REJECTION,
     SirSample,
     received_power_mw,
     sir_sample,
@@ -49,6 +48,7 @@ from .montecarlo import (
     success_vs_distance,
 )
 from .params import (
+    CO_CHANNEL_REJECTION,
     ConfigError,
     NetworkConfig,
     SfParams,

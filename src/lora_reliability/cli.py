@@ -117,37 +117,24 @@ def _resolve_realizations(
     return DESK_REALIZATIONS
 
 
-def _cmd_sweep_distance(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg, file_values = _build_config(args)
+    if args.kind == "distance":
+        grid = montecarlo.default_distance_grid(cfg)
+        sweep, abscissa_name = montecarlo.success_vs_distance, "d_km"
+    else:
+        grid = montecarlo.default_density_grid(args.n_bar_max)
+        sweep, abscissa_name = montecarlo.coverage_vs_density, "n_bar"
     spec = montecarlo.SweepSpec(
-        kind="distance",
-        grid=montecarlo.default_distance_grid(cfg),
+        kind=args.kind,
+        grid=grid,
         realizations_per_point=_resolve_realizations(args, cfg, file_values),
         seed=cfg.seed,
         joint_mode=args.joint_mode,
         sir_mode=args.sir_mode,
     )
-    points = montecarlo.success_vs_distance(
-        cfg, spec, path_loss_form=args.path_loss_form, threads=args.threads
-    )
-    _emit(curve_to_csv(points, "d_km"), args.out)
-    return 0
-
-
-def _cmd_sweep_density(args: argparse.Namespace) -> int:
-    cfg, file_values = _build_config(args)
-    spec = montecarlo.SweepSpec(
-        kind="density",
-        grid=montecarlo.default_density_grid(args.n_bar_max),
-        realizations_per_point=_resolve_realizations(args, cfg, file_values),
-        seed=cfg.seed,
-        joint_mode=args.joint_mode,
-        sir_mode=args.sir_mode,
-    )
-    points = montecarlo.coverage_vs_density(
-        cfg, spec, path_loss_form=args.path_loss_form, threads=args.threads
-    )
-    _emit(curve_to_csv(points, "n_bar"), args.out)
+    points = sweep(cfg, spec, path_loss_form=args.path_loss_form, threads=args.threads)
+    _emit(curve_to_csv(points, abscissa_name), args.out)
     return 0
 
 
@@ -335,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[sweep],
         help="success probability vs distance from the gateway (CSV)",
     )
-    p_dist.set_defaults(func=_cmd_sweep_distance)
+    p_dist.set_defaults(func=_cmd_sweep, kind="distance")
 
     p_dens = sub.add_parser(
         "sweep-density",
@@ -345,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.add_argument(
         "--n-bar-max", type=float, default=3000.0, help="largest mean device count"
     )
-    p_dens.set_defaults(func=_cmd_sweep_density)
+    p_dens.set_defaults(func=_cmd_sweep, kind="density")
 
     p_cf = sub.add_parser(
         "closed-form",

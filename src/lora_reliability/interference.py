@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelModel, path_loss
 from .geometry import EndDevice, Realization
+from .params import CO_CHANNEL_REJECTION
 
 __all__ = [
     "CO_CHANNEL_REJECTION",
@@ -18,11 +19,6 @@ __all__ = [
     "split_interference_power",
     "sir_sample",
 ]
-
-# Rejection margin applied to the desired signal against the strongest
-# same-SF interferer: a factor 4 (~6 dB).  Configurable per call for
-# sensitivity studies; the default matches the capture model used throughout.
-CO_CHANNEL_REJECTION = 4.0
 
 
 @dataclass(frozen=True)
@@ -59,9 +55,7 @@ def split_interference_power(
     return math.fsum(same), math.fsum(other)
 
 
-def sir_sample(
-    r: Realization, model: ChannelModel, rejection: float = CO_CHANNEL_REJECTION
-) -> SirSample:
+def sir_sample(r: Realization, model: ChannelModel) -> SirSample:
     """All three scenario SIRs of one realization, computing each received
     power once."""
     sf = r.desired.sf
@@ -81,7 +75,7 @@ def sir_sample(
     same_sum = math.fsum(same)
     other_sum = math.fsum(other)
     return SirSample(
-        gamma_max_co=rejection * s / strongest if strongest > 0.0 else math.inf,
+        gamma_max_co=CO_CHANNEL_REJECTION * s / strongest if strongest > 0.0 else math.inf,
         gamma_co=s / same_sum if same_sum > 0.0 else math.inf,
         gamma_inter=s / other_sum if other_sum > 0.0 else math.inf,
     )

@@ -21,15 +21,18 @@ Poisson(mean_devices) candidates and keeping each with the duty-cycle
 probability, the engine draws the active interferers directly as
 Poisson(duty_cycle * mean_devices) with i.i.d. uniform positions.  The two
 procedures produce identically distributed active fields, and only active
-interferers enter any SIR; the object-level path in :mod:`geometry` keeps
-the explicit candidate-plus-thinning form.
+interferers enter any SIR.  This kernel is the only Monte Carlo engine.
+The object-level path (:func:`geometry.sample_realization` with
+:func:`interference.sir_sample`) keeps the explicit candidate-plus-thinning
+form as the independent reference that tests and ``validate`` compare
+against; no sweep or estimate calls it.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,9 +48,8 @@ from .analytic import (
     success_from_sir_array,
 )
 from .channel import ChannelModel, path_loss, path_loss_array, snr_success_probability
-from .geometry import annulus_to_sf, sample_realization
-from .interference import CO_CHANNEL_REJECTION, sir_sample
-from .params import SF_MIN, NetworkConfig, db_to_linear, dbm_to_mw, sf_table
+from .geometry import OutOfCellError, annulus_to_sf
+from .params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, db_to_linear, dbm_to_mw, sf_table
 
 DISTANCE_GRID_POINTS = 120
 DENSITY_GRID_POINTS = 30
@@ -69,7 +71,6 @@ _CHUNK = 1 << 15
 _TAG_DISTANCE = 0
 _TAG_DENSITY_DESIRED = 1
 _TAG_DENSITY_FIELD = 2
-_TAG_MEAN_SIR = 3
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,9 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SirStats:
-    """Summary of one scenario's SIR draws at a fixed desired distance.
+    """Summary of one scenario's SIR draws at a fixed desired distance: the
+    draws the ``mean-sir`` mode averages for the same seed, distance and
+    realization count.
 
     The scenario SIR is a ratio of fading mixtures and is heavy-tailed; its
     sample mean can be unstable (for a single co-SF interferer it is a ratio
@@ -155,7 +158,8 @@ def default_density_grid(
 
 
 class _MeanAcc:
-    """Running mean/standard-error accumulator, merged in batch order."""
+    """Running mean/standard-error accumulator, merged in batch order.  The
+    mean of no values is inf: the mean-SIR of draws that are all inf."""
 
     __slots__ = ("count", "total", "total_sq")
 
@@ -171,7 +175,7 @@ class _MeanAcc:
 
     @property
     def mean(self) -> float:
-        return self.total / self.count
+        return self.total / self.count if self.count else math.inf
 
     @property
     def stderr(self) -> float:
@@ -179,27 +183,6 @@ class _MeanAcc:
             return 0.0
         var = (self.total_sq - self.total * self.total / self.count) / (self.count - 1)
         return math.sqrt(max(var, 0.0) / self.count)
-
-
-class _FiniteAcc:
-    """Accumulates the finite entries of SIR draws for the mean-SIR mode."""
-
-    __slots__ = ("finite_count", "finite_total")
-
-    def __init__(self) -> None:
-        self.finite_count = 0
-        self.finite_total = 0.0
-
-    def add(self, gammas: np.ndarray) -> None:
-        finite = gammas[np.isfinite(gammas)]
-        self.finite_count += finite.size
-        self.finite_total += float(finite.sum())
-
-    @property
-    def mean_or_inf(self) -> float:
-        if self.finite_count == 0:
-            return math.inf
-        return self.finite_total / self.finite_count
 
 
 def _batches(n: int, size: int = _BATCH) -> list[tuple[int, int]]:
@@ -232,7 +215,6 @@ def _field_sirs(
     cfg: NetworkConfig,
     model: ChannelModel,
     tx_mw: float,
-    rejection: float = CO_CHANNEL_REJECTION,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one batch of active interference fields and return the three
     scenario SIR arrays (inf where the relevant interferer set is empty)."""
@@ -291,7 +273,7 @@ def _field_sirs(
 
     # Masked divisions keep the empty-set points at inf and avoid 0/0.
     nz = strongest > 0.0
-    g_max[nz] = rejection * s_desired[nz] / strongest[nz]
+    g_max[nz] = CO_CHANNEL_REJECTION * s_desired[nz] / strongest[nz]
     nz = co_power > 0.0
     g_co[nz] = s_desired[nz] / co_power[nz]
     nz = inter_power > 0.0
@@ -305,6 +287,48 @@ def _joint_success(s_co: np.ndarray, s_inter: np.ndarray, mode: str) -> np.ndarr
     return 1.0 - (1.0 - s_co) * (1.0 - s_inter)
 
 
+def _batch_sirs(
+    n: int,
+    n_bar: float,
+    cfg: NetworkConfig,
+    model: ChannelModel,
+    tx_mw: float,
+    draw: Callable[[int, int], tuple],
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None]]:
+    """Yield the three scenario SIR arrays and the noise-only success of
+    each batch of ``n`` realizations, in batch order.
+
+    ``draw(batch_index, batch)`` places the desired devices of a batch: it
+    returns the generator that drives their fading and the interference
+    field, their path gain and annulus index, and their per-realization
+    noise-only success, or None when that is known in closed form.
+    """
+    for batch_index, batch in _batches(n):
+        rng, gain, annulus, s_snr = draw(batch_index, batch)
+        fading = rng.exponential(size=batch)
+        yield _field_sirs(rng, (tx_mw * gain) * fading, annulus, n_bar, cfg, model, tx_mw), s_snr
+
+
+def _pinned(
+    cfg: NetworkConfig, model: ChannelModel, d_km: float, seed: int, i: int
+) -> Callable[[int, int], tuple]:
+    """``draw`` for a desired device pinned at ``d_km`` as point ``i`` of a
+    distance sweep: batch ``b`` draws from stream ``(seed, _TAG_DISTANCE, i,
+    b)`` and the noise-only success is left to the closed form."""
+    if not cfg.min_distance_km <= d_km <= cfg.cell_radius_km:
+        raise OutOfCellError(
+            f"desired distance {d_km} km outside "
+            f"[{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
+        )
+    gain = path_loss(d_km, model)
+    annulus = annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
+
+    def draw(batch_index: int, batch: int) -> tuple:
+        return np.random.default_rng([seed, _TAG_DISTANCE, i, batch_index]), gain, annulus, None
+
+    return draw
+
+
 def _point(
     cfg: NetworkConfig,
     model: ChannelModel,
@@ -315,28 +339,22 @@ def _point(
     draw: Callable[[int, int], tuple],
     p_snr: float | None = None,
 ) -> CurvePoint:
-    """One sweep point.
+    """One sweep point over the batches of ``draw`` (see :func:`_batch_sirs`);
+    ``p_snr`` is the closed-form noise-only success, when there is one.
 
-    ``draw(batch_index, batch)`` places the desired devices of a batch: it
-    returns the generator that drives their fading and the interference
-    field, their path gain and annulus index, and their per-realization
-    noise-only success, or None when ``p_snr`` is given in closed form.
     Success and finite-SIR sums are accumulated in one pass; the SIR mode
     only picks which of them make the result.
     """
     snr, snr_sf = _MeanAcc(), _MeanAcc()
     success = [_MeanAcc() for _ in range(3)]  # max_co, co, sf
-    finite = [_FiniteAcc() for _ in range(3)]  # max_co, co, inter
-    for batch_index, batch in _batches(spec.realizations_per_point):
-        rng, gain, annulus, s_snr = draw(batch_index, batch)
-        fading = rng.exponential(size=batch)
-        sirs = _field_sirs(rng, (tx_mw * gain) * fading, annulus, n_bar, cfg, model, tx_mw)
+    finite = [_MeanAcc() for _ in range(3)]  # finite SIRs: max_co, co, inter
+    for sirs, s_snr in _batch_sirs(spec.realizations_per_point, n_bar, cfg, model, tx_mw, draw):
         s_max, s_co, s_inter = (success_from_sir_array(g) for g in sirs)
         s_sf = _joint_success(s_co, s_inter, spec.joint_mode)
         for acc, values in zip(success, (s_max, s_co, s_sf)):
             acc.add(values)
         for acc, gammas in zip(finite, sirs):
-            acc.add(gammas)
+            acc.add(gammas[np.isfinite(gammas)])
         if s_snr is not None:
             snr.add(s_snr)
             snr_sf.add(s_snr * s_sf)
@@ -348,7 +366,7 @@ def _point(
         p_max, p_co, p_sf = (acc.mean for acc in success)
         se_max, se_co, se_sf = (acc.stderr for acc in success)
     else:
-        mean_max, mean_co, mean_inter = (acc.mean_or_inf for acc in finite)
+        mean_max, mean_co, mean_inter = (acc.mean for acc in finite)
         p_max, p_co = success_from_sir(mean_max), success_from_sir(mean_co)
         p_sf = combine_sf(
             outage_closed_form(mean_co), outage_closed_form(mean_inter), spec.joint_mode
@@ -388,26 +406,15 @@ def success_vs_distance(
     resampled every realization."""
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
-    for d in spec.grid:
-        if not cfg.min_distance_km <= d <= cfg.cell_radius_km:
-            raise ValueError(
-                f"grid distance {d} km outside "
-                f"[{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
-            )
     model = ChannelModel.from_config(cfg, path_loss_form)
     tx_mw = dbm_to_mw(cfg.tx_power_dbm)
+    draws = [_pinned(cfg, model, d_km, spec.seed, i) for i, d_km in enumerate(spec.grid)]
 
     def worker(i: int) -> CurvePoint:
         d_km = spec.grid[i]
         sf = annulus_to_sf(d_km, cfg.cell_radius_km)
-        gain = path_loss(d_km, model)
-
-        def draw(batch_index: int, batch: int):
-            rng = np.random.default_rng([spec.seed, _TAG_DISTANCE, i, batch_index])
-            return rng, gain, sf - SF_MIN, None
-
         p_snr = snr_success_probability(d_km, sf, cfg, path_loss_form)
-        return _point(cfg, model, spec, d_km, cfg.mean_devices, tx_mw, draw, p_snr)
+        return _point(cfg, model, spec, d_km, cfg.mean_devices, tx_mw, draws[i], p_snr)
 
     return _run_points(worker, len(spec.grid), threads)
 
@@ -421,23 +428,29 @@ def coverage_vs_density(
 ) -> list[CurvePoint]:
     """Per-scenario coverage probability at each mean device count: the
     spatial average of success probability over a uniformly-by-area random
-    desired-device location."""
+    desired-device location.
+
+    The desired devices of each batch are drawn once, from a
+    point-independent stream, and shared read-only by every grid point, which
+    is why the noise-only column ``p_snr`` is bit-identical across the grid.
+    """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     model = ChannelModel.from_config(cfg, path_loss_form)
     tx_mw = dbm_to_mw(cfg.tx_power_dbm)
     theta_linear = np.array([db_to_linear(row.snr_threshold_db) for row in sf_table()])
+    desired = []  # per batch: gain, annulus index, noise-only success
+    for batch_index, batch in _batches(spec.realizations_per_point):
+        rng = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
+        dist, annulus = _ring(rng.random(batch), cfg)
+        gain = path_loss_array(dist, model)
+        s_snr = np.exp(-(model.noise_mw * theta_linear[annulus]) / (tx_mw * gain))
+        desired.append((gain, annulus, s_snr))
 
     def worker(i: int) -> CurvePoint:
-        def draw(batch_index: int, batch: int):
-            # Desired positions come from a point-independent stream so the
-            # noise-only coverage column is bit-identical across the grid.
-            rng_desired = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
-            dist, annulus = _ring(rng_desired.random(batch), cfg)
-            gain = path_loss_array(dist, model)
-            s_snr = np.exp(-(model.noise_mw * theta_linear[annulus]) / (tx_mw * gain))
+        def draw(batch_index: int, batch: int) -> tuple:
             rng = np.random.default_rng([spec.seed, _TAG_DENSITY_FIELD, i, batch_index])
-            return rng, gain, annulus, s_snr
+            return (rng, *desired[batch_index])
 
         return _point(cfg, model, spec, spec.grid[i], spec.grid[i], tx_mw, draw)
 
@@ -450,29 +463,29 @@ def estimate_mean_sir(
     n: int,
     seed: int,
     path_loss_form: str = "standard",
-    rejection: float = CO_CHANNEL_REJECTION,
 ) -> dict[str, SirStats]:
-    """Sample-mean SIR per scenario at a fixed desired distance, feeding the
-    ``mean-sir`` mode.  Keys: ``max_co``, ``co``, ``inter``."""
+    """Statistics of the per-scenario SIR draws that the ``mean-sir`` mode
+    averages.  For the same seed, distance and realization count these are
+    the draws of a one-point distance sweep at ``d_km``, so, for instance,
+    ``success_from_sir(stats["co"].mean)`` is that sweep's ``p_co``.
+    Keys: ``max_co``, ``co``, ``inter``."""
     if n < 1:
         raise ValueError(f"need n >= 1 realizations, got {n}")
     model = ChannelModel.from_config(cfg, path_loss_form)
-    rng = np.random.default_rng([seed, _TAG_MEAN_SIR])
-    draws: dict[str, list[float]] = {"max_co": [], "co": [], "inter": []}
-    for _ in range(n):
-        sample = sir_sample(sample_realization(cfg, d_km, rng), model, rejection)
-        draws["max_co"].append(sample.gamma_max_co)
-        draws["co"].append(sample.gamma_co)
-        draws["inter"].append(sample.gamma_inter)
-
-    stats = {}
-    for key, values in draws.items():
-        arr = np.asarray(values)
-        finite = arr[np.isfinite(arr)]
-        stats[key] = SirStats(
-            mean=float(finite.mean()) if finite.size else math.inf,
-            median=float(np.median(arr)),
-            inf_fraction=float(np.count_nonzero(~np.isfinite(arr))) / n,
+    draw = _pinned(cfg, model, d_km, seed, 0)
+    finite = [_MeanAcc() for _ in range(3)]
+    kept: list[list[np.ndarray]] = [[], [], []]
+    batches = _batch_sirs(n, cfg.mean_devices, cfg, model, dbm_to_mw(cfg.tx_power_dbm), draw)
+    for sirs, _ in batches:
+        for acc, arrays, gammas in zip(finite, kept, sirs):
+            acc.add(gammas[np.isfinite(gammas)])
+            arrays.append(gammas)
+    return {
+        key: SirStats(
+            mean=acc.mean,
+            median=float(np.median(np.concatenate(arrays))),
+            inf_fraction=(n - acc.count) / n,
             count=n,
         )
-    return stats
+        for key, acc, arrays in zip(("max_co", "co", "inter"), finite, kept)
+    }

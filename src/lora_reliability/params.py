@@ -47,6 +47,11 @@ _SF_TABLE: tuple[SfParams, ...] = (
 SF_MIN = 7
 SF_MAX = 12
 
+# Capture margin of the desired signal over the strongest same-SF
+# interferer: a factor 4 (~6 dB), used by the array kernel and by the
+# object-level reference alike.
+CO_CHANNEL_REJECTION = 4.0
+
 
 def sf_table() -> list[SfParams]:
     """Return the six-row SF schedule in SF order 7..12."""

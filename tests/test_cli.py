@@ -86,8 +86,9 @@ def test_sweep_distance_deterministic_reruns(capsys):
     assert first == second
 
 
-def test_sweep_distance_thread_count_does_not_change_bytes(capsys):
-    base = ["sweep-distance", "--seed", "42", "--realizations", "300"]
+@pytest.mark.parametrize("command", ["sweep-distance", "sweep-density"])
+def test_sweep_thread_count_does_not_change_bytes(command, capsys):
+    base = [command, "--seed", "42", "--realizations", "300"]
     _, single, _ = run_cli(base + ["--threads", "1"], capsys)
     _, pooled, _ = run_cli(base + ["--threads", "8"], capsys)
     assert single == pooled

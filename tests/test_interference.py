@@ -80,12 +80,6 @@ def test_sir_max_ignores_inactive():
     assert sir_sample(_realization(desired, [dormant]), MODEL).gamma_max_co == math.inf
 
 
-def test_sir_max_custom_rejection():
-    desired = _device(1.0, 0.8)
-    twin = _device(1.0, 0.8)
-    assert sir_sample(_realization(desired, [twin]), MODEL, rejection=1.0).gamma_max_co == 1.0
-
-
 def test_sir_co_single_interferer():
     desired = _device(1.0, 0.8)
     twin = _device(1.0, 0.8)

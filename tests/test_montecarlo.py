@@ -17,7 +17,7 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.analytic import success_from_sir
+from lora_reliability.analytic import combine_sf, outage_closed_form, success_from_sir
 from lora_reliability.params import NetworkConfig, dbm_to_mw
 
 
@@ -304,6 +304,32 @@ def test_estimate_mean_sir_busy_network():
     assert inter.median <= inter.mean  # heavy right tail
     with pytest.raises(ValueError):
         estimate_mean_sir(cfg, 5.0, 0, seed=2)
+
+
+@pytest.mark.parametrize(
+    "cfg, d_km, n",
+    [
+        (NetworkConfig(), 3.0, 9000),  # three batches
+        (NetworkConfig(mean_devices=0.0), 5.0, 500),
+        (NetworkConfig(mean_devices=300.0), 11.5, 2000),
+    ],
+    ids=["default", "no-devices", "edge-300"],
+)
+def test_estimate_mean_sir_reports_the_mean_sir_modes_draws(cfg, d_km, n):
+    stats = estimate_mean_sir(cfg, d_km, n, seed=13)
+    spec = _distance_spec((d_km,), n=n, seed=13, sir_mode="mean-sir")
+    p = success_vs_distance(cfg, spec)[0].probs
+    assert success_from_sir(stats["max_co"].mean) == p.p_max_co
+    assert success_from_sir(stats["co"].mean) == p.p_co
+    co, inter = (outage_closed_form(stats[key].mean) for key in ("co", "inter"))
+    assert combine_sf(co, inter) == p.p_sf
+
+
+def test_estimate_mean_sir_rejects_distance_outside_cell():
+    cfg = NetworkConfig()
+    for d_km in (12.5, 0.0):
+        with pytest.raises(ValueError):
+            estimate_mean_sir(cfg, d_km, 10, seed=1)
 
 
 def test_ratio_of_fadings_median():
