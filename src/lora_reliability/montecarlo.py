@@ -16,6 +16,16 @@ terms in the same order at any chunk size.  This relies on PCG64's
 the fading draws come from a copy of the batch generator advanced past the
 position draws.
 
+The kernel works in normalized units.  Every scenario SIR is a ratio of
+received powers ``tx * fading * gain(d)``, and both path-loss forms give
+``gain(d) = C * d**(-eta)`` with a constant ``C``, so the transmit power,
+wavelength, ``4*pi``, the km-to-m factor and the path-loss form cancel.  A
+device at uniform-by-area draw ``u`` enters with its clamped area fraction
+``v = max(u, (d_min/R)**2) = (d/R)**2`` as ``fading * v**(-eta/2)``, and its
+annulus is read off ``v`` against the squared ring starts ``_RING_U``.  The
+physical gain is computed only where noise needs it: the noise-only success
+``p_snr`` and, in the density sweep, its per-realization form.
+
 The interference field is sampled in its thinned form: instead of drawing
 Poisson(mean_devices) candidates and keeping each with the duty-cycle
 probability, the engine draws the active interferers directly as
@@ -47,7 +57,7 @@ from .analytic import (
     success_from_sir,
     success_from_sir_array,
 )
-from .channel import ChannelModel, path_loss, path_loss_array, snr_success_probability
+from .channel import ChannelModel, path_loss, snr_success_probability
 from .geometry import OutOfCellError, annulus_to_sf
 from .params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, db_to_linear, dbm_to_mw, sf_table
 
@@ -71,6 +81,12 @@ _CHUNK = 1 << 15
 _TAG_DISTANCE = 0
 _TAG_DENSITY_DESIRED = 1
 _TAG_DENSITY_FIELD = 2
+
+# Squared ring starts (k/6)^2, k = 0..5, then inf: a device whose clamped
+# area fraction v = (d/R)^2 lies in [_RING_U[k], _RING_U[k+1]) is in annulus
+# k (SF 7 + k), so a ring start belongs to the outer ring.
+_RING_U = np.array([(j / 6) ** 2 for j in range(6)] + [math.inf])
+_RING_U.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -193,31 +209,20 @@ def _batches(n: int, size: int = _BATCH) -> list[tuple[int, int]]:
     return out
 
 
-def _ring(u: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Distance ``max(d_min, R * sqrt(u))`` of uniform-by-area draws and its
-    annulus index 0..5 (SF minus 7).
-
-    The index truncates ``6*d/R``, which can put a distance that equals a
-    ring start ``k*R/6`` in the inner ring, unlike :func:`annulus_to_sf`.
-    Continuous draws hit a ring start with probability zero, and an exact
-    ``searchsorted`` over the five starts cost about 18 ns per element
-    against 8 ns for this truncation (32768 draws, 2-vCPU Xeon).
-    """
-    dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
-    return dist, np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
-
-
 def _field_sirs(
     rng: np.random.Generator,
     s_desired: np.ndarray,
     annulus_desired: int | np.ndarray,
     n_bar: float,
     cfg: NetworkConfig,
-    model: ChannelModel,
-    tx_mw: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one batch of active interference fields and return the three
-    scenario SIR arrays (inf where the relevant interferer set is empty)."""
+    scenario SIR arrays (inf where the relevant interferer set is empty).
+
+    ``s_desired`` is the desired signal in normalized units (see the module
+    docstring); an interferer at area fraction ``v`` contributes
+    ``v**(-eta/2) * fading``.
+    """
     batch = s_desired.shape[0]
     counts = rng.poisson(cfg.duty_cycle * n_bar, size=batch)
     total = int(counts.sum())
@@ -238,8 +243,14 @@ def _field_sirs(
         fading_bits.advance(total)
         fading_rng = np.random.Generator(fading_bits)
 
+    v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
+    exponent = -0.5 * cfg.path_loss_exponent
+    per_realization = np.ndim(annulus_desired) > 0
+    inner = _RING_U[annulus_desired]  # the desired ring is [inner, outer)
+    outer = _RING_U[annulus_desired + 1]
     ends = np.cumsum(counts)
-    sums = np.zeros((batch, 2))  # per realization: other-SF, same-SF power
+    co_power = np.zeros(batch)
+    inter_power = np.zeros(batch)
     strongest = np.zeros(batch)
     lo = 0
     while lo < batch:
@@ -248,28 +259,29 @@ def _field_sirs(
         base = int(ends[lo] - counts[lo])
         hi = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), lo + 1)
         size = int(ends[hi - 1]) - base
-        dist, ann = _ring(rng.random(size), cfg)
-        fading = fading_rng.exponential(size=size)
-        powers = tx_mw * fading * path_loss_array(dist, model)
-
         chunk_counts = counts[lo:hi]
-        owner = np.repeat(np.arange(hi - lo), chunk_counts)
-        target = annulus_desired[lo:hi][owner] if np.ndim(annulus_desired) else annulus_desired
-        same = ann == target
-        # Bins 2i and 2i+1 hold realization i's other-SF and same-SF power;
-        # each bin adds its terms in input order.
-        sums[lo:hi] = np.bincount(
-            2 * owner + same, weights=powers, minlength=2 * (hi - lo)
-        ).reshape(-1, 2)
+        w = rng.random(size)
+        np.maximum(w, v_min, out=w)
+        if per_realization:
+            same = w >= np.repeat(inner[lo:hi], chunk_counts)
+            same &= w < np.repeat(outer[lo:hi], chunk_counts)
+        else:
+            same = (w >= inner) & (w < outer)
+        w **= exponent
+        w *= fading_rng.exponential(size=size)
+        # w - w is exactly 0, so w holds the other-SF terms after this, and
+        # zeros change neither a segment's sum nor its maximum.
+        co_terms = w * same
+        w -= co_terms
         # reduceat misreads empty segments, so it runs over the non-empty
         # realizations' (strictly increasing) starts only.
         filled = chunk_counts > 0
-        starts = ends[lo:hi] - chunk_counts - base
-        strongest[lo:hi][filled] = np.maximum.reduceat(
-            np.where(same, powers, 0.0), starts[filled]
-        )
+        starts = (ends[lo:hi] - chunk_counts - base)[filled]
+        rows = lo + np.flatnonzero(filled)
+        co_power[rows] = np.add.reduceat(co_terms, starts)
+        strongest[rows] = np.maximum.reduceat(co_terms, starts)
+        inter_power[rows] = np.add.reduceat(w, starts)
         lo = hi
-    inter_power, co_power = sums[:, 0], sums[:, 1]
 
     # Masked divisions keep the empty-set points at inf and avoid 0/0.
     nz = strongest > 0.0
@@ -291,8 +303,6 @@ def _batch_sirs(
     n: int,
     n_bar: float,
     cfg: NetworkConfig,
-    model: ChannelModel,
-    tx_mw: float,
     draw: Callable[[int, int], tuple],
 ) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None]]:
     """Yield the three scenario SIR arrays and the noise-only success of
@@ -300,18 +310,17 @@ def _batch_sirs(
 
     ``draw(batch_index, batch)`` places the desired devices of a batch: it
     returns the generator that drives their fading and the interference
-    field, their path gain and annulus index, and their per-realization
-    noise-only success, or None when that is known in closed form.
+    field, their normalized gain ``(d/R)**(-eta)`` and annulus index, and
+    their per-realization noise-only success, or None when that is known in
+    closed form.
     """
     for batch_index, batch in _batches(n):
         rng, gain, annulus, s_snr = draw(batch_index, batch)
         fading = rng.exponential(size=batch)
-        yield _field_sirs(rng, (tx_mw * gain) * fading, annulus, n_bar, cfg, model, tx_mw), s_snr
+        yield _field_sirs(rng, gain * fading, annulus, n_bar, cfg), s_snr
 
 
-def _pinned(
-    cfg: NetworkConfig, model: ChannelModel, d_km: float, seed: int, i: int
-) -> Callable[[int, int], tuple]:
+def _pinned(cfg: NetworkConfig, d_km: float, seed: int, i: int) -> Callable[[int, int], tuple]:
     """``draw`` for a desired device pinned at ``d_km`` as point ``i`` of a
     distance sweep: batch ``b`` draws from stream ``(seed, _TAG_DISTANCE, i,
     b)`` and the noise-only success is left to the closed form."""
@@ -320,7 +329,7 @@ def _pinned(
             f"desired distance {d_km} km outside "
             f"[{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
         )
-    gain = path_loss(d_km, model)
+    gain = (d_km / cfg.cell_radius_km) ** -cfg.path_loss_exponent
     annulus = annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
 
     def draw(batch_index: int, batch: int) -> tuple:
@@ -329,13 +338,26 @@ def _pinned(
     return draw
 
 
+def _by_area(
+    u: np.ndarray, cfg: NetworkConfig, model: ChannelModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Desired devices at uniform-by-area draws ``u``: their normalized gain
+    ``v**(-eta/2)`` and annulus index, from the clamped area fraction
+    ``v = max(u, (d_min/R)**2)``, and their noise-only success.  The
+    physical gain is the cell-edge gain times the normalized one."""
+    v = np.maximum(u, (cfg.min_distance_km / cfg.cell_radius_km) ** 2)
+    annulus = np.searchsorted(_RING_U, v, side="right") - 1
+    gain = v ** (-0.5 * cfg.path_loss_exponent)
+    theta = np.array([db_to_linear(row.snr_threshold_db) for row in sf_table()])[annulus]
+    edge_mw = dbm_to_mw(cfg.tx_power_dbm) * path_loss(cfg.cell_radius_km, model)
+    return gain, annulus, np.exp(-(model.noise_mw * theta) / (edge_mw * gain))
+
+
 def _point(
     cfg: NetworkConfig,
-    model: ChannelModel,
     spec: SweepSpec,
     abscissa: float,
     n_bar: float,
-    tx_mw: float,
     draw: Callable[[int, int], tuple],
     p_snr: float | None = None,
 ) -> CurvePoint:
@@ -348,7 +370,7 @@ def _point(
     snr, snr_sf = _MeanAcc(), _MeanAcc()
     success = [_MeanAcc() for _ in range(3)]  # max_co, co, sf
     finite = [_MeanAcc() for _ in range(3)]  # finite SIRs: max_co, co, inter
-    for sirs, s_snr in _batch_sirs(spec.realizations_per_point, n_bar, cfg, model, tx_mw, draw):
+    for sirs, s_snr in _batch_sirs(spec.realizations_per_point, n_bar, cfg, draw):
         s_max, s_co, s_inter = (success_from_sir_array(g) for g in sirs)
         s_sf = _joint_success(s_co, s_inter, spec.joint_mode)
         for acc, values in zip(success, (s_max, s_co, s_sf)):
@@ -406,15 +428,13 @@ def success_vs_distance(
     resampled every realization."""
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
-    model = ChannelModel.from_config(cfg, path_loss_form)
-    tx_mw = dbm_to_mw(cfg.tx_power_dbm)
-    draws = [_pinned(cfg, model, d_km, spec.seed, i) for i, d_km in enumerate(spec.grid)]
+    draws = [_pinned(cfg, d_km, spec.seed, i) for i, d_km in enumerate(spec.grid)]
 
     def worker(i: int) -> CurvePoint:
         d_km = spec.grid[i]
         sf = annulus_to_sf(d_km, cfg.cell_radius_km)
         p_snr = snr_success_probability(d_km, sf, cfg, path_loss_form)
-        return _point(cfg, model, spec, d_km, cfg.mean_devices, tx_mw, draws[i], p_snr)
+        return _point(cfg, spec, d_km, cfg.mean_devices, draws[i], p_snr)
 
     return _run_points(worker, len(spec.grid), threads)
 
@@ -437,22 +457,21 @@ def coverage_vs_density(
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     model = ChannelModel.from_config(cfg, path_loss_form)
-    tx_mw = dbm_to_mw(cfg.tx_power_dbm)
-    theta_linear = np.array([db_to_linear(row.snr_threshold_db) for row in sf_table()])
-    desired = []  # per batch: gain, annulus index, noise-only success
-    for batch_index, batch in _batches(spec.realizations_per_point):
-        rng = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
-        dist, annulus = _ring(rng.random(batch), cfg)
-        gain = path_loss_array(dist, model)
-        s_snr = np.exp(-(model.noise_mw * theta_linear[annulus]) / (tx_mw * gain))
-        desired.append((gain, annulus, s_snr))
+    desired = [  # per batch: normalized gain, annulus index, noise-only success
+        _by_area(
+            np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index]).random(batch),
+            cfg,
+            model,
+        )
+        for batch_index, batch in _batches(spec.realizations_per_point)
+    ]
 
     def worker(i: int) -> CurvePoint:
         def draw(batch_index: int, batch: int) -> tuple:
             rng = np.random.default_rng([spec.seed, _TAG_DENSITY_FIELD, i, batch_index])
             return (rng, *desired[batch_index])
 
-        return _point(cfg, model, spec, spec.grid[i], spec.grid[i], tx_mw, draw)
+        return _point(cfg, spec, spec.grid[i], spec.grid[i], draw)
 
     return _run_points(worker, len(spec.grid), threads)
 
@@ -462,21 +481,18 @@ def estimate_mean_sir(
     d_km: float,
     n: int,
     seed: int,
-    path_loss_form: str = "standard",
 ) -> dict[str, SirStats]:
     """Statistics of the per-scenario SIR draws that the ``mean-sir`` mode
     averages.  For the same seed, distance and realization count these are
     the draws of a one-point distance sweep at ``d_km``, so, for instance,
-    ``success_from_sir(stats["co"].mean)`` is that sweep's ``p_co``.
-    Keys: ``max_co``, ``co``, ``inter``."""
+    ``success_from_sir(stats["co"].mean)`` is that sweep's ``p_co`` with
+    either path-loss form.  Keys: ``max_co``, ``co``, ``inter``."""
     if n < 1:
         raise ValueError(f"need n >= 1 realizations, got {n}")
-    model = ChannelModel.from_config(cfg, path_loss_form)
-    draw = _pinned(cfg, model, d_km, seed, 0)
+    draw = _pinned(cfg, d_km, seed, 0)
     finite = [_MeanAcc() for _ in range(3)]
     kept: list[list[np.ndarray]] = [[], [], []]
-    batches = _batch_sirs(n, cfg.mean_devices, cfg, model, dbm_to_mw(cfg.tx_power_dbm), draw)
-    for sirs, _ in batches:
+    for sirs, _ in _batch_sirs(n, cfg.mean_devices, cfg, draw):
         for acc, arrays, gammas in zip(finite, kept, sirs):
             acc.add(gammas[np.isfinite(gammas)])
             arrays.append(gammas)

@@ -1,0 +1,134 @@
+"""The interference kernel ``montecarlo._field_sirs`` against the physical-unit
+arithmetic it replaced, and its ring rule at the ring starts.
+
+The kernel works in normalized units: an interferer at area fraction
+``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading``.  The
+reference below computes every received power in milliwatts, as
+``tx * fading * path_loss_array(max(d_min, R*sqrt(u)))`` with the ring index
+``int(6*d/R)``, from the same generator.  The SIRs are ratios of such powers,
+so the two must agree to rounding; the relative tolerance 1e-12 was fixed
+before the first comparison.
+"""
+
+import numpy as np
+import pytest
+
+from lora_reliability import montecarlo
+from lora_reliability.channel import PATH_LOSS_FORMS, ChannelModel, path_loss, path_loss_array
+from lora_reliability.geometry import annulus_to_sf
+from lora_reliability.params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, dbm_to_mw
+
+RTOL = 1e-12
+
+# The squared ring starts (k/6)^2, k = 0..5: a draw there lies on the inner
+# edge of ring k.
+RING_START_U = np.array([(k / 6) ** 2 for k in range(6)])
+RADII_KM = [tenths / 10 for tenths in range(1, 301)]
+
+
+def _reference_field_sirs(rng, s_desired_mw, annulus_desired, n_bar, cfg, model):
+    """One batch of scenario SIRs in milliwatts, all draws at once."""
+    batch = s_desired_mw.shape[0]
+    counts = rng.poisson(cfg.duty_cycle * n_bar, size=batch)
+    total = int(counts.sum())
+    u = rng.random(total)
+    fading = rng.exponential(size=total)
+    dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
+    ring = np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
+    power = dbm_to_mw(cfg.tx_power_dbm) * fading * path_loss_array(dist, model)
+    owner = np.repeat(np.arange(batch), counts)
+    same = ring == np.broadcast_to(annulus_desired, (batch,))[owner]
+    co_power = np.bincount(owner[same], weights=power[same], minlength=batch)
+    inter_power = np.bincount(owner[~same], weights=power[~same], minlength=batch)
+    strongest = np.zeros(batch)
+    np.maximum.at(strongest, owner[same], power[same])
+    with np.errstate(divide="ignore"):
+        return (
+            CO_CHANNEL_REJECTION * s_desired_mw / strongest,
+            s_desired_mw / co_power,
+            s_desired_mw / inter_power,
+        )
+
+
+def _desired(kind, cfg, model, rng, batch):
+    """Desired signal and annulus for the kernel (normalized) and for the
+    reference (milliwatts), with a shared fading draw."""
+    fading = rng.exponential(size=batch)
+    tx_mw = dbm_to_mw(cfg.tx_power_dbm)
+    if kind == "pinned":
+        d_km = 4.3
+        norm = (d_km / cfg.cell_radius_km) ** -cfg.path_loss_exponent
+        annulus = annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
+        return norm * fading, tx_mw * path_loss(d_km, model) * fading, annulus, annulus
+    u = rng.random(batch)
+    norm, annulus, _ = montecarlo._by_area(u, cfg, model)
+    dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
+    ring = np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
+    return norm * fading, tx_mw * path_loss_array(dist, model) * fading, annulus, ring
+
+
+@pytest.mark.parametrize("form", PATH_LOSS_FORMS)
+@pytest.mark.parametrize("kind", ["pinned", "per-realization"])
+@pytest.mark.parametrize(
+    "n_bar, chunk",
+    [(1500.0, None), (1500.0, 97), (30.0, None), (30.0, 1)],
+    ids=["busy", "busy-multi-chunk", "mostly-empty", "mostly-empty-chunk-1"],
+)
+def test_kernel_matches_physical_unit_reference(monkeypatch, form, kind, n_bar, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    cfg = NetworkConfig()
+    model = ChannelModel.from_config(cfg, form)
+    s_norm, s_mw, annulus, ring = _desired(kind, cfg, model, np.random.default_rng(3), 4096)
+    np.testing.assert_array_equal(annulus, ring)
+
+    sirs = montecarlo._field_sirs(np.random.default_rng(11), s_norm, annulus, n_bar, cfg)
+    reference = _reference_field_sirs(np.random.default_rng(11), s_mw, ring, n_bar, cfg, model)
+
+    if n_bar == 30.0:
+        assert 0.5 < np.isinf(sirs[1]).mean() < 1.0  # empty realizations are covered
+    for got, want in zip(sirs, reference):
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+
+
+class _OneInterfererEach:
+    """Generator stand-in: one active interferer per realization at the
+    given area fractions, all with unit fading."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=float)
+
+    def poisson(self, lam, size):
+        return np.ones(size, dtype=np.int64)
+
+    def random(self, size):
+        assert size == self._u.size
+        return self._u.copy()
+
+    def exponential(self, size):
+        return np.ones(size)
+
+
+def test_kernel_ring_start_belongs_to_outer_ring():
+    for r in RADII_KM:
+        cfg = NetworkConfig(cell_radius_km=r)
+        for k in range(6):
+            draws = _OneInterfererEach(RING_START_U)
+            _, g_co, g_inter = montecarlo._field_sirs(draws, np.ones(6), k, 1.0, cfg)
+            same = np.arange(6) == k
+            np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r} k={k}")
+            np.testing.assert_array_equal(np.isfinite(g_inter), ~same, err_msg=f"R={r} k={k}")
+        # Per-realization annuli: realization j is in ring j, not ring j - 1.
+        for shift, same in ((0, True), (1, False)):
+            draws = _OneInterfererEach(RING_START_U)
+            annulus = (np.arange(6) - shift) % 6
+            _, g_co, g_inter = montecarlo._field_sirs(draws, np.ones(6), annulus, 1.0, cfg)
+            np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r}")
+            np.testing.assert_array_equal(np.isfinite(g_inter), not same, err_msg=f"R={r}")
+
+
+def test_desired_ring_start_belongs_to_outer_ring():
+    for r in RADII_KM:
+        cfg = NetworkConfig(cell_radius_km=r)
+        _, annulus, _ = montecarlo._by_area(RING_START_U, cfg, ChannelModel.from_config(cfg))
+        np.testing.assert_array_equal(annulus, np.arange(6), err_msg=f"R={r}")

@@ -17,8 +17,8 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.analytic import combine_sf, outage_closed_form, success_from_sir
-from lora_reliability.params import NetworkConfig, dbm_to_mw
+from lora_reliability.analytic import SIR_MODES, combine_sf, outage_closed_form, success_from_sir
+from lora_reliability.params import NetworkConfig
 
 
 def _distance_spec(grid, n=2000, seed=7, **kw):
@@ -141,17 +141,36 @@ def test_output_independent_of_chunk_size(monkeypatch, chunk):
     assert csvs() == default
 
 
+@pytest.mark.parametrize("sir_mode", SIR_MODES)
+@pytest.mark.parametrize("kind", ["distance", "density"])
+def test_interference_columns_independent_of_path_loss_form(kind, sir_mode):
+    """Every SIR is a ratio of received powers, so the path-loss form, which
+    scales them all by one constant, moves only the noise columns."""
+    cfg = NetworkConfig()
+    if kind == "distance":
+        spec = _distance_spec(default_distance_grid(cfg, 12), n=5000, seed=42, sir_mode=sir_mode)
+        sweep = success_vs_distance
+    else:
+        spec = _density_spec((0.0,) + default_density_grid(3000.0, 6), seed=42, sir_mode=sir_mode)
+        sweep = coverage_vs_density
+
+    def interference_columns(form):
+        return [
+            (p.p_max_co, p.p_co, p.p_sf, se.p_max_co, se.p_co, se.p_sf)
+            for p, se in ((pt.probs, pt.stderr) for pt in sweep(cfg, spec, path_loss_form=form))
+        ]
+
+    assert interference_columns("standard") == interference_columns("paper_literal")
+
+
 def test_kernel_memory_bounded_by_chunk():
     # About 4e6 active interferers in one 4096-realization batch; without
     # chunking the kernel holds about 10 arrays of that length (>200 MB).
     cfg = NetworkConfig()
-    model = ChannelModel.from_config(cfg)
     s_desired = np.full(4096, 1e-9)
     tracemalloc.start()
     try:
-        sirs = montecarlo._field_sirs(
-            np.random.default_rng(0), s_desired, 3, 1e5, cfg, model, dbm_to_mw(cfg.tx_power_dbm)
-        )
+        sirs = montecarlo._field_sirs(np.random.default_rng(0), s_desired, 3, 1e5, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
