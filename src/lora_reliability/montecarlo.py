@@ -1,10 +1,17 @@
 """Seeded Monte Carlo sweeps: success probability versus distance and
 coverage probability versus the average number of devices.
 
-Determinism contract: every (point, batch) work unit draws from its own
-generator seeded by ``(seed, stream tag, point index, batch index)`` and
-partial results are merged in index order, so output is bit-identical no
-matter how many workers run the sweep.
+Determinism contract: every work unit draws from its own generator seeded
+by ``(seed, stream tag, unit index, batch index)`` and results are merged in
+index order, so output is bit-identical no matter how many workers run the
+sweep.  The distance sweep's unit is the (annulus, batch) pair: the grid
+points of one annulus share the desired fading and the interference field
+of each batch, because in normalized units a point's SIR is
+``(d/R)**(-eta) * fading / I`` and the law of the field power ``I`` depends
+on ``d`` only through the desired annulus.  So a row depends on its distance,
+the seed and the realization count alone, not on the rest of the grid, and
+the rows of one annulus are positively correlated (common random numbers).
+The density sweep's unit is the (point, batch) pair.
 
 The interference kernel works on chunks of whole realizations with about
 ``_CHUNK`` active interferers each, so its memory per worker thread is
@@ -41,6 +48,7 @@ against; no sweep or estimate calls it.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -140,8 +148,8 @@ class CurvePoint:
 @dataclass(frozen=True)
 class SirStats:
     """Summary of one scenario's SIR draws at a fixed desired distance: the
-    draws the ``mean-sir`` mode averages for the same seed, distance and
-    realization count.
+    draws the ``mean-sir`` mode averages in the row of that distance of any
+    distance sweep with the same seed and realization count.
 
     The scenario SIR is a ratio of fading mixtures and is heavy-tailed; its
     sample mean can be unstable (for a single co-SF interferer it is a ratio
@@ -211,26 +219,26 @@ def _batches(n: int, size: int = _BATCH) -> list[tuple[int, int]]:
 
 def _field_sirs(
     rng: np.random.Generator,
-    s_desired: np.ndarray,
+    batch: int,
     annulus_desired: int | np.ndarray,
     n_bar: float,
     cfg: NetworkConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample one batch of active interference fields and return the three
-    scenario SIR arrays (inf where the relevant interferer set is empty).
+    """Sample one batch of active interference fields and return their
+    normalized powers per realization: the strongest co-SF term, the co-SF
+    sum and the inter-SF sum (0 where the interferer set is empty).
 
-    ``s_desired`` is the desired signal in normalized units (see the module
-    docstring); an interferer at area fraction ``v`` contributes
-    ``v**(-eta/2) * fading``.
+    An interferer at area fraction ``v`` contributes ``v**(-eta/2) * fading``
+    (see the module docstring); ``annulus_desired`` is the desired annulus,
+    one for the batch or one per realization.
     """
-    batch = s_desired.shape[0]
     counts = rng.poisson(cfg.duty_cycle * n_bar, size=batch)
     total = int(counts.sum())
-    g_max = np.full(batch, np.inf)
-    g_co = np.full(batch, np.inf)
-    g_inter = np.full(batch, np.inf)
+    co_power = np.zeros(batch)
+    inter_power = np.zeros(batch)
+    strongest = np.zeros(batch)
     if total == 0:
-        return g_max, g_co, g_inter
+        return strongest, co_power, inter_power
 
     # The uniform draws of all interferers come first in ``rng``'s stream
     # and the exponential draws follow, one word per uniform double, so a
@@ -239,7 +247,7 @@ def _field_sirs(
     # A batch that fits one chunk draws its fading from ``rng`` itself.
     fading_rng = rng
     if total > _CHUNK:
-        fading_bits = copy.deepcopy(rng.bit_generator)
+        fading_bits = copy.copy(rng.bit_generator)
         fading_bits.advance(total)
         fading_rng = np.random.Generator(fading_bits)
 
@@ -249,9 +257,6 @@ def _field_sirs(
     inner = _RING_U[annulus_desired]  # the desired ring is [inner, outer)
     outer = _RING_U[annulus_desired + 1]
     ends = np.cumsum(counts)
-    co_power = np.zeros(batch)
-    inter_power = np.zeros(batch)
-    strongest = np.zeros(batch)
     lo = 0
     while lo < batch:
         # Whole realizations up to about _CHUNK interferers; one larger
@@ -282,15 +287,50 @@ def _field_sirs(
         strongest[rows] = np.maximum.reduceat(co_terms, starts)
         inter_power[rows] = np.add.reduceat(w, starts)
         lo = hi
+    return strongest, co_power, inter_power
 
-    # Masked divisions keep the empty-set points at inf and avoid 0/0.
-    nz = strongest > 0.0
-    g_max[nz] = CO_CHANNEL_REJECTION * s_desired[nz] / strongest[nz]
-    nz = co_power > 0.0
-    g_co[nz] = s_desired[nz] / co_power[nz]
-    nz = inter_power > 0.0
-    g_inter[nz] = s_desired[nz] / inter_power[nz]
-    return g_max, g_co, g_inter
+
+def _fields(
+    n: int,
+    stream: tuple[int, ...],
+    annulus: Callable[[int], int | np.ndarray],
+    n_bar: float,
+    cfg: NetworkConfig,
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Yield the desired fading and the field powers of each batch of ``n``
+    realizations, in batch order.  Batch ``b`` draws both from generator
+    ``(*stream, b)``, its fields against desired annulus ``annulus(b)``."""
+    for batch_index, batch in _batches(n):
+        rng = np.random.default_rng([*stream, batch_index])
+        fading = rng.exponential(size=batch)
+        yield fading, _field_sirs(rng, batch, annulus(batch_index), n_bar, cfg)
+
+
+def _ring_fields(
+    cfg: NetworkConfig, n: int, seed: int, ring: int
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """:func:`_fields` for every distance-sweep point in annulus ``ring``:
+    batch ``b`` draws from stream ``(seed, _TAG_DISTANCE, ring, b)``."""
+    return _fields(n, (seed, _TAG_DISTANCE, ring), lambda b: ring, cfg.mean_devices, cfg)
+
+
+def _sirs(
+    powers: tuple[np.ndarray, np.ndarray, np.ndarray], s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three scenario SIRs of desired signals ``s`` against one batch of
+    field powers (see :func:`_field_sirs`), inf where the relevant
+    interferer set is empty."""
+    strongest, co_power, inter_power = powers
+    # Dividing only where the power is positive keeps the empty-set points
+    # at inf and avoids 0/0.
+    return tuple(
+        np.divide(signal, power, out=np.full(s.shape, np.inf), where=power > 0.0)
+        for signal, power in (
+            (CO_CHANNEL_REJECTION * s, strongest),
+            (s, co_power),
+            (s, inter_power),
+        )
+    )
 
 
 def _joint_success(s_co: np.ndarray, s_inter: np.ndarray, mode: str) -> np.ndarray:
@@ -299,43 +339,16 @@ def _joint_success(s_co: np.ndarray, s_inter: np.ndarray, mode: str) -> np.ndarr
     return 1.0 - (1.0 - s_co) * (1.0 - s_inter)
 
 
-def _batch_sirs(
-    n: int,
-    n_bar: float,
-    cfg: NetworkConfig,
-    draw: Callable[[int, int], tuple],
-) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None]]:
-    """Yield the three scenario SIR arrays and the noise-only success of
-    each batch of ``n`` realizations, in batch order.
-
-    ``draw(batch_index, batch)`` places the desired devices of a batch: it
-    returns the generator that drives their fading and the interference
-    field, their normalized gain ``(d/R)**(-eta)`` and annulus index, and
-    their per-realization noise-only success, or None when that is known in
-    closed form.
-    """
-    for batch_index, batch in _batches(n):
-        rng, gain, annulus, s_snr = draw(batch_index, batch)
-        fading = rng.exponential(size=batch)
-        yield _field_sirs(rng, gain * fading, annulus, n_bar, cfg), s_snr
-
-
-def _pinned(cfg: NetworkConfig, d_km: float, seed: int, i: int) -> Callable[[int, int], tuple]:
-    """``draw`` for a desired device pinned at ``d_km`` as point ``i`` of a
-    distance sweep: batch ``b`` draws from stream ``(seed, _TAG_DISTANCE, i,
-    b)`` and the noise-only success is left to the closed form."""
+def _pinned(cfg: NetworkConfig, d_km: float) -> tuple[float, int]:
+    """Normalized gain ``(d/R)**(-eta)`` and annulus index of a desired
+    device pinned at ``d_km``."""
     if not cfg.min_distance_km <= d_km <= cfg.cell_radius_km:
         raise OutOfCellError(
             f"desired distance {d_km} km outside "
             f"[{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
         )
     gain = (d_km / cfg.cell_radius_km) ** -cfg.path_loss_exponent
-    annulus = annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
-
-    def draw(batch_index: int, batch: int) -> tuple:
-        return np.random.default_rng([seed, _TAG_DISTANCE, i, batch_index]), gain, annulus, None
-
-    return draw
+    return gain, annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
 
 
 def _by_area(
@@ -353,67 +366,81 @@ def _by_area(
     return gain, annulus, np.exp(-(model.noise_mw * theta) / (edge_mw * gain))
 
 
-def _point(
-    cfg: NetworkConfig,
-    spec: SweepSpec,
-    abscissa: float,
-    n_bar: float,
-    draw: Callable[[int, int], tuple],
-    p_snr: float | None = None,
-) -> CurvePoint:
-    """One sweep point over the batches of ``draw`` (see :func:`_batch_sirs`);
-    ``p_snr`` is the closed-form noise-only success, when there is one.
-
-    Success and finite-SIR sums are accumulated in one pass; the SIR mode
-    only picks which of them make the result.
+class _Point:
+    """The running sums of one sweep point, fed batch by batch: the success
+    sums in ``substitution`` mode, the finite-SIR sums in ``mean-sir`` mode,
+    and the noise-only sums when the noise-only success is per realization.
     """
-    snr, snr_sf = _MeanAcc(), _MeanAcc()
-    success = [_MeanAcc() for _ in range(3)]  # max_co, co, sf
-    finite = [_MeanAcc() for _ in range(3)]  # finite SIRs: max_co, co, inter
-    for sirs, s_snr in _batch_sirs(spec.realizations_per_point, n_bar, cfg, draw):
-        s_max, s_co, s_inter = (success_from_sir_array(g) for g in sirs)
-        s_sf = _joint_success(s_co, s_inter, spec.joint_mode)
-        for acc, values in zip(success, (s_max, s_co, s_sf)):
-            acc.add(values)
-        for acc, gammas in zip(finite, sirs):
-            acc.add(gammas[np.isfinite(gammas)])
+
+    __slots__ = ("joint_mode", "substitution", "scenario", "snr", "snr_sf")
+
+    def __init__(self, spec: SweepSpec) -> None:
+        self.joint_mode = spec.joint_mode
+        self.substitution = spec.sir_mode == "substitution"
+        # substitution: success of max_co, co, sf; mean-sir: finite SIRs of
+        # max_co, co, inter
+        self.scenario = [_MeanAcc() for _ in range(3)]
+        self.snr, self.snr_sf = _MeanAcc(), _MeanAcc()
+
+    def add(
+        self,
+        powers: tuple[np.ndarray, np.ndarray, np.ndarray],
+        s: np.ndarray,
+        s_snr: np.ndarray | None = None,
+    ) -> None:
+        """One batch: field powers, desired signals ``s`` in normalized
+        units, and the per-realization noise-only success, if any."""
+        sirs = _sirs(powers, s)
+        if self.substitution:
+            s_max, s_co, s_inter = (success_from_sir_array(g) for g in sirs)
+            s_sf = _joint_success(s_co, s_inter, self.joint_mode)
+            values = (s_max, s_co, s_sf)
+        else:
+            values = tuple(g[np.isfinite(g)] for g in sirs)
+        for acc, v in zip(self.scenario, values):
+            acc.add(v)
         if s_snr is not None:
-            snr.add(s_snr)
-            snr_sf.add(s_snr * s_sf)
+            self.snr.add(s_snr)
+            if self.substitution:
+                self.snr_sf.add(s_snr * s_sf)
 
-    se_snr = 0.0
-    if p_snr is None:
-        p_snr, se_snr = snr.mean, snr.stderr
-    if spec.sir_mode == "substitution":
-        p_max, p_co, p_sf = (acc.mean for acc in success)
-        se_max, se_co, se_sf = (acc.stderr for acc in success)
-    else:
-        mean_max, mean_co, mean_inter = (acc.mean for acc in finite)
-        p_max, p_co = success_from_sir(mean_max), success_from_sir(mean_co)
-        p_sf = combine_sf(
-            outage_closed_form(mean_co), outage_closed_form(mean_inter), spec.joint_mode
+    def result(self, abscissa: float, p_snr: float | None = None) -> CurvePoint:
+        """The point's means and standard errors; ``p_snr`` is the
+        closed-form noise-only success, when there is one."""
+        se_snr = 0.0
+        if p_snr is None:
+            p_snr, se_snr = self.snr.mean, self.snr.stderr
+        if self.substitution:
+            p_max, p_co, p_sf = (acc.mean for acc in self.scenario)
+            se_max, se_co, se_sf = (acc.stderr for acc in self.scenario)
+        else:
+            mean_max, mean_co, mean_inter = (acc.mean for acc in self.scenario)
+            p_max, p_co = success_from_sir(mean_max), success_from_sir(mean_co)
+            p_sf = combine_sf(
+                outage_closed_form(mean_co), outage_closed_form(mean_inter), self.joint_mode
+            )
+            se_max = se_co = se_sf = 0.0
+        # A random desired position couples noise and interference, so the
+        # substitution mode averages their per-realization product there.
+        if self.snr_sf.count:
+            p_snr_sf, se_snr_sf = self.snr_sf.mean, self.snr_sf.stderr
+        else:
+            p_snr_sf, se_snr_sf = p_snr * p_sf, p_snr * se_sf
+        return CurvePoint(
+            abscissa=abscissa,
+            probs=ScenarioProbabilities(p_snr, p_max, p_co, p_sf, p_snr_sf),
+            stderr=ScenarioProbabilities(se_snr, se_max, se_co, se_sf, se_snr_sf),
         )
-        se_max = se_co = se_sf = 0.0
-    # A random desired position couples noise and interference, so the
-    # substitution mode averages their per-realization product there.
-    if snr_sf.count and spec.sir_mode == "substitution":
-        p_snr_sf, se_snr_sf = snr_sf.mean, snr_sf.stderr
-    else:
-        p_snr_sf, se_snr_sf = p_snr * p_sf, p_snr * se_sf
-    return CurvePoint(
-        abscissa=abscissa,
-        probs=ScenarioProbabilities(p_snr, p_max, p_co, p_sf, p_snr_sf),
-        stderr=ScenarioProbabilities(se_snr, se_max, se_co, se_sf, se_snr_sf),
-    )
 
 
-def _run_points(worker, n_points: int, threads: int) -> list[CurvePoint]:
+def _run_units(worker: Callable, units: list, threads: int) -> list:
+    """``worker`` over ``units``, results in unit order."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or n_points <= 1:
-        return [worker(i) for i in range(n_points)]
+    if threads == 1 or len(units) <= 1:
+        return [worker(unit) for unit in units]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_points)))
+        return list(pool.map(worker, units))
 
 
 def success_vs_distance(
@@ -425,18 +452,39 @@ def success_vs_distance(
 ) -> list[CurvePoint]:
     """Per-scenario success probability at each grid distance, with the
     desired device pinned at the abscissa and the interference field
-    resampled every realization."""
+    resampled every realization.
+
+    The grid points of one annulus share their draws: each batch of the
+    annulus draws the desired fading and the field once, and every point
+    scales the same fading by its own gain.  A row therefore depends only on
+    its distance, the seed and the realization count, not on the rest of
+    the grid, and the points of one annulus are positively correlated.
+    """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
-    draws = [_pinned(cfg, d_km, spec.seed, i) for i, d_km in enumerate(spec.grid)]
+    pinned = [_pinned(cfg, d_km) for d_km in spec.grid]
+    # Rings are non-decreasing along the increasing grid, so each ring's
+    # points are one run of consecutive indices.
+    units = [
+        (ring, list(indices))
+        for ring, indices in itertools.groupby(range(len(spec.grid)), lambda i: pinned[i][1])
+    ]
 
-    def worker(i: int) -> CurvePoint:
-        d_km = spec.grid[i]
-        sf = annulus_to_sf(d_km, cfg.cell_radius_km)
-        p_snr = snr_success_probability(d_km, sf, cfg, path_loss_form)
-        return _point(cfg, spec, d_km, cfg.mean_devices, draws[i], p_snr)
+    def worker(unit: tuple[int, list[int]]) -> list[CurvePoint]:
+        ring, indices = unit
+        points = [_Point(spec) for _ in indices]
+        for fading, powers in _ring_fields(cfg, spec.realizations_per_point, spec.seed, ring):
+            for point, i in zip(points, indices):
+                point.add(powers, pinned[i][0] * fading)
+        return [
+            point.result(
+                spec.grid[i],
+                snr_success_probability(spec.grid[i], SF_MIN + ring, cfg, path_loss_form),
+            )
+            for point, i in zip(points, indices)
+        ]
 
-    return _run_points(worker, len(spec.grid), threads)
+    return [point for ring_points in _run_units(worker, units, threads) for point in ring_points]
 
 
 def coverage_vs_density(
@@ -467,13 +515,19 @@ def coverage_vs_density(
     ]
 
     def worker(i: int) -> CurvePoint:
-        def draw(batch_index: int, batch: int) -> tuple:
-            rng = np.random.default_rng([spec.seed, _TAG_DENSITY_FIELD, i, batch_index])
-            return (rng, *desired[batch_index])
+        point = _Point(spec)
+        fields = _fields(
+            spec.realizations_per_point,
+            (spec.seed, _TAG_DENSITY_FIELD, i),
+            lambda b: desired[b][1],
+            spec.grid[i],
+            cfg,
+        )
+        for (gain, _, s_snr), (fading, powers) in zip(desired, fields):
+            point.add(powers, gain * fading, s_snr)
+        return point.result(spec.grid[i])
 
-        return _point(cfg, spec, spec.grid[i], spec.grid[i], draw)
-
-    return _run_points(worker, len(spec.grid), threads)
+    return _run_units(worker, list(range(len(spec.grid))), threads)
 
 
 def estimate_mean_sir(
@@ -483,17 +537,18 @@ def estimate_mean_sir(
     seed: int,
 ) -> dict[str, SirStats]:
     """Statistics of the per-scenario SIR draws that the ``mean-sir`` mode
-    averages.  For the same seed, distance and realization count these are
-    the draws of a one-point distance sweep at ``d_km``, so, for instance,
-    ``success_from_sir(stats["co"].mean)`` is that sweep's ``p_co`` with
-    either path-loss form.  Keys: ``max_co``, ``co``, ``inter``."""
+    averages.  For the same seed and realization count these are the draws
+    of the ``d_km`` row of any distance sweep whose grid holds ``d_km``, so,
+    for instance, ``success_from_sir(stats["co"].mean)`` is that row's
+    ``p_co`` with either path-loss form.  Keys: ``max_co``, ``co``,
+    ``inter``."""
     if n < 1:
         raise ValueError(f"need n >= 1 realizations, got {n}")
-    draw = _pinned(cfg, d_km, seed, 0)
+    gain, ring = _pinned(cfg, d_km)
     finite = [_MeanAcc() for _ in range(3)]
     kept: list[list[np.ndarray]] = [[], [], []]
-    for sirs, _ in _batch_sirs(n, cfg.mean_devices, cfg, draw):
-        for acc, arrays, gammas in zip(finite, kept, sirs):
+    for fading, powers in _ring_fields(cfg, n, seed, ring):
+        for acc, arrays, gammas in zip(finite, kept, _sirs(powers, gain * fading)):
             acc.add(gammas[np.isfinite(gammas)])
             arrays.append(gammas)
     return {

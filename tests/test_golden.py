@@ -36,14 +36,14 @@ REALIZATIONS = 5000
 
 # (kind, joint_mode, sir_mode, path_loss_form) -> sha256 of the CSV text.
 GOLDEN = {
-    ("distance", "success-product", "substitution", "standard"): "ba0bd445396799e14e14c12981a1ace7e9a9b76ce17b8e3c02356a6d1b3a6986",
-    ("distance", "success-product", "substitution", "paper_literal"): "3df16178f2e4ba71b430ce4b12cb7d25e3e479156fa9d57ac47c384ab035e99f",
-    ("distance", "success-product", "mean-sir", "standard"): "8fe3aa52112500a16ff02f8a2983ab842d1d7a7810c510915f6588a9d62c24b3",
-    ("distance", "success-product", "mean-sir", "paper_literal"): "9a51ec563f697b846b7db3210196ac1ddd3543e15bb3a48c710e1c0bd36001dd",
-    ("distance", "outage-product", "substitution", "standard"): "4011f9d2e618ce64b8d1c859c9a0fdc410cc33c9a20393c21a9c11a0a69c219e",
-    ("distance", "outage-product", "substitution", "paper_literal"): "2f0f7974b129b9f9ca2111364f5b0406ebbd1d5f88d8caac118b5062f8757496",
-    ("distance", "outage-product", "mean-sir", "standard"): "0663477a77d4842e672ccb2097b9e28a1d2bb8dbc9be2ea2cb51db1e5c25fca5",
-    ("distance", "outage-product", "mean-sir", "paper_literal"): "b26cd99f1b5aaff4984906093d243010ae7fca4789fada5ffccda2db2de6ae11",
+    ("distance", "success-product", "substitution", "standard"): "6b32cb0c752004716f142d05e302dc3812ae1c689ca2627a42614aefa85ec18d",
+    ("distance", "success-product", "substitution", "paper_literal"): "a25f633e196155c8ec455ec73ffdf41137cf179c54e5e78eb0806d24ceed95c4",
+    ("distance", "success-product", "mean-sir", "standard"): "0ac28d2c5ad47efbd4d41b61321f638ab69e26bcb9d6479af427e5661f5aaeed",
+    ("distance", "success-product", "mean-sir", "paper_literal"): "96593f5bffbd987efc6e3d439d4e82a1c07db57cf5b2c52da5c2bc4c4e6646ae",
+    ("distance", "outage-product", "substitution", "standard"): "b829481bbc3d0ab69355d5523426f284d47a0fe642816d7cca328c8e190a08bc",
+    ("distance", "outage-product", "substitution", "paper_literal"): "ae465a0ff9c88f5ccaa25ea3ceae687633a99d517800b362316f678cff912b22",
+    ("distance", "outage-product", "mean-sir", "standard"): "59e8e93d85fb0ee113660a7520569a54f9090b87bb057d92e143a61e3d6cb84d",
+    ("distance", "outage-product", "mean-sir", "paper_literal"): "1430d677ddf70032b9a927d4b5f42494836c3cca8f1f7a5eb0b49531571343a1",
     ("density", "success-product", "substitution", "standard"): "e4a6c335d46be9dd05ed00c5607aebcb961239c140859bcd5bc47b2cb2359160",
     ("density", "success-product", "substitution", "paper_literal"): "1251a322eec75dccaaa214aaec4f376550662ad853116320bd15da7c277405fc",
     ("density", "success-product", "mean-sir", "standard"): "14f10cf82448d03b56569e5e7083c12ae2403f445458f3de12319aed4442a2a6",

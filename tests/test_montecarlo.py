@@ -7,7 +7,7 @@ import pytest
 from lora_reliability import montecarlo
 from lora_reliability.channel import ChannelModel, snr_success_probability
 from lora_reliability.cli import curve_to_csv
-from lora_reliability.geometry import sample_realization
+from lora_reliability.geometry import annulus_to_sf, sample_realization
 from lora_reliability.interference import sir_sample
 from lora_reliability.montecarlo import (
     SweepSpec,
@@ -170,7 +170,8 @@ def test_kernel_memory_bounded_by_chunk():
     s_desired = np.full(4096, 1e-9)
     tracemalloc.start()
     try:
-        sirs = montecarlo._field_sirs(np.random.default_rng(0), s_desired, 3, 1e5, cfg)
+        powers = montecarlo._field_sirs(np.random.default_rng(0), 4096, 3, 1e5, cfg)
+        sirs = montecarlo._sirs(powers, s_desired)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,6 +350,54 @@ def test_estimate_mean_sir_rejects_distance_outside_cell():
     for d_km in (12.5, 0.0):
         with pytest.raises(ValueError):
             estimate_mean_sir(cfg, d_km, 10, seed=1)
+
+
+@pytest.mark.parametrize("sir_mode", SIR_MODES)
+def test_distance_row_independent_of_the_rest_of_the_grid(sir_mode):
+    """A row draws from its annulus's streams only, so its bytes are the
+    same alone, in the default grid and in another grid."""
+    cfg = NetworkConfig()
+    default = default_distance_grid(cfg)
+
+    def row(grid, d_km):
+        spec = _distance_spec(grid, n=5000, seed=5, sir_mode=sir_mode)
+        lines = curve_to_csv(success_vs_distance(cfg, spec), "d_km").splitlines()
+        return lines[1 + grid.index(d_km)]
+
+    for d_km in (default[7], default[64], default[119]):  # annuli 0, 3 and 5
+        alone = row((d_km,), d_km)
+        assert row(default, d_km) == alone
+        assert row((0.25, d_km - 0.05, d_km), d_km) == alone
+
+
+def test_estimate_mean_sir_matches_the_row_of_a_multi_point_sweep():
+    cfg = NetworkConfig()
+    grid = default_distance_grid(cfg, 24)
+    stats = estimate_mean_sir(cfg, grid[9], 5000, seed=13)
+    p = success_vs_distance(cfg, _distance_spec(grid, n=5000, seed=13, sir_mode="mean-sir"))[9]
+    assert success_from_sir(stats["max_co"].mean) == p.probs.p_max_co
+    assert success_from_sir(stats["co"].mean) == p.probs.p_co
+    co, inter = (outage_closed_form(stats[key].mean) for key in ("co", "inter"))
+    assert combine_sf(co, inter) == p.probs.p_sf
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_success_non_increasing_within_each_ring(seed):
+    """The points of one annulus scale the same draws by a gain that falls
+    with distance, and every step from SIR to column is monotone, so no
+    interference column rises between neighbours in one annulus."""
+    cfg = NetworkConfig()
+    grid = default_distance_grid(cfg)
+    points = success_vs_distance(cfg, _distance_spec(grid, n=5000, seed=seed))
+    rises = [
+        (near.abscissa, far.abscissa, column)
+        for near, far in zip(points, points[1:])
+        if annulus_to_sf(near.abscissa, cfg.cell_radius_km)
+        == annulus_to_sf(far.abscissa, cfg.cell_radius_km)
+        for column in ("p_max_co", "p_co", "p_sf", "p_snr_sf")
+        if getattr(far.probs, column) > getattr(near.probs, column)
+    ]
+    assert rises == []
 
 
 def test_ratio_of_fadings_median():
