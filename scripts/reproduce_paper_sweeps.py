@@ -8,62 +8,58 @@ Produces:
                                       counts in [1, 3000]
 
 Both default to 10^5 realizations per point (use --desk for a fast 10^4 run).
+Each file is what ``lora-reliability sweep-distance`` / ``sweep-density``
+writes for the same seed, realization count and threads, byte for byte.
 Plot with any CSV tool; columns are documented in the README.
 """
 
 import argparse
 import pathlib
+import sys
 import time
 
-from lora_reliability.cli import curve_to_csv
-from lora_reliability.montecarlo import (
-    SweepSpec,
-    coverage_vs_density,
-    default_density_grid,
-    default_distance_grid,
-    success_vs_distance,
+from lora_reliability import cli
+
+SWEEPS = (
+    ("sweep-distance", "success_vs_distance.csv"),
+    ("sweep-density", "coverage_vs_density.csv"),
 )
-from lora_reliability.params import NetworkConfig
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--realizations", type=int, default=100_000)
-    parser.add_argument("--desk", action="store_true", help="quick 10^4-realization run")
+    parser.add_argument(
+        "--desk",
+        action="store_true",
+        help=f"quick {cli.DESK_REALIZATIONS}-realization run",
+    )
     parser.add_argument("--threads", type=int, default=4)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    cfg = NetworkConfig(seed=args.seed)
-    n = 10_000 if args.desk else args.realizations
+    n = cli.DESK_REALIZATIONS if args.desk else args.realizations
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    start = time.perf_counter()
-    spec = SweepSpec(
-        kind="distance",
-        grid=default_distance_grid(cfg),
-        realizations_per_point=n,
-        seed=cfg.seed,
-    )
-    points = success_vs_distance(cfg, spec, threads=args.threads)
-    path = out_dir / "success_vs_distance.csv"
-    path.write_text(curve_to_csv(points, "d_km"), encoding="utf-8", newline="")
-    print(f"wrote {path} ({len(points)} points, {time.perf_counter() - start:.1f}s)")
-
-    start = time.perf_counter()
-    spec = SweepSpec(
-        kind="density",
-        grid=default_density_grid(),
-        realizations_per_point=n,
-        seed=cfg.seed,
-    )
-    points = coverage_vs_density(cfg, spec, threads=args.threads)
-    path = out_dir / "coverage_vs_density.csv"
-    path.write_text(curve_to_csv(points, "n_bar"), encoding="utf-8", newline="")
-    print(f"wrote {path} ({len(points)} points, {time.perf_counter() - start:.1f}s)")
+    for command, name in SWEEPS:
+        path = out_dir / name
+        start = time.perf_counter()
+        code = cli.main(
+            [
+                command,
+                "--seed", str(args.seed),
+                "--realizations", str(n),
+                "--threads", str(args.threads),
+                "--out", str(path),
+            ]
+        )
+        if code != 0:
+            return code
+        print(f"wrote {path} ({time.perf_counter() - start:.1f}s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

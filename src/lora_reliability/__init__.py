@@ -29,7 +29,6 @@ from .geometry import (
     annulus_to_sf,
     sample_device_count,
     sample_realization,
-    sample_uniform_position,
 )
 from .interference import (
     SirSample,
@@ -54,7 +53,6 @@ from .params import (
     SfParams,
     db_to_linear,
     dbm_to_mw,
-    load_config,
     mw_to_dbm,
     noise_floor_dbm,
     parse_config_text,

@@ -9,6 +9,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,18 +29,9 @@ from .params import (
 SEED_ENV_VAR = "LORA_REL_SEED"
 DESK_REALIZATIONS = 10_000
 
-CSV_COLUMNS = (
-    "p_snr",
-    "p_max_co",
-    "p_co",
-    "p_sf",
-    "p_snr_sf",
-    "se_snr",
-    "se_max_co",
-    "se_co",
-    "se_sf",
-    "se_snr_sf",
-)
+_PROB_COLUMNS = tuple(f.name for f in fields(analytic.ScenarioProbabilities))
+# Each probability column, then its standard error: p_snr -> se_snr.
+CSV_COLUMNS = _PROB_COLUMNS + tuple("se" + name[1:] for name in _PROB_COLUMNS)
 
 
 def _fmt(x: float) -> str:
@@ -51,25 +43,10 @@ def curve_to_csv(points: list[montecarlo.CurvePoint], abscissa_name: str) -> str
     """Render sweep points as CSV text (LF endings, trailing newline)."""
     lines = [",".join((abscissa_name,) + CSV_COLUMNS)]
     for pt in points:
-        p, se = pt.probs, pt.stderr
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    pt.abscissa,
-                    p.p_snr,
-                    p.p_max_co,
-                    p.p_co,
-                    p.p_sf,
-                    p.p_snr_sf,
-                    se.p_snr,
-                    se.p_max_co,
-                    se.p_co,
-                    se.p_sf,
-                    se.p_snr_sf,
-                )
-            )
-        )
+        # vars() keeps field order and, unlike dataclasses.astuple, does
+        # not deep-copy.
+        row = (pt.abscissa, *vars(pt.probs).values(), *vars(pt.stderr).values())
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -359,10 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # ConfigError is a ValueError
         sys.stderr.write(f"error: {err}\n")
         return 2
     except analytic.QuadratureError as err:

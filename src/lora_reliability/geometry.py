@@ -57,23 +57,6 @@ def sample_device_count(mean: float, rng: np.random.Generator) -> int:
     return int(rng.poisson(mean))
 
 
-def sample_uniform_position(
-    radius_km: float, min_distance_km: float, rng: np.random.Generator
-) -> Position:
-    """Sample a position uniform by area on the disk of the given radius.
-
-    Distance is ``max(d_min, R * sqrt(U))`` so that the squared distance is
-    uniform on [0, R^2] apart from the tiny clamp at the center.
-    """
-    if not 0 < min_distance_km < radius_km:
-        raise ConfigError(
-            f"need 0 < min_distance ({min_distance_km}) < radius ({radius_km})"
-        )
-    u = rng.random()
-    v = rng.random()
-    return Position(max(min_distance_km, radius_km * math.sqrt(u)), TWO_PI * v)
-
-
 def annulus_to_sf(distance_km: float, cell_radius_km: float) -> int:
     """Map a gateway distance to its annulus SF.
 

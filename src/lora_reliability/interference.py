@@ -11,15 +11,6 @@ from .channel import ChannelModel, path_loss
 from .geometry import EndDevice, Realization
 from .params import CO_CHANNEL_REJECTION
 
-__all__ = [
-    "CO_CHANNEL_REJECTION",
-    "Realization",
-    "SirSample",
-    "received_power_mw",
-    "split_interference_power",
-    "sir_sample",
-]
-
 
 @dataclass(frozen=True)
 class SirSample:

@@ -13,15 +13,15 @@ the seed and the realization count alone, not on the rest of the grid, and
 the rows of one annulus are positively correlated (common random numbers).
 The density sweep's unit is the (point, batch) pair.
 
-The interference kernel works on chunks of whole realizations with about
-``_CHUNK`` active interferers each, so its memory per worker thread is
-bounded by ``_CHUNK`` whatever the mean device count, unless one realization
-alone averages more than ``_CHUNK`` active interferers.  The chunk size is
-not part of the stream contract: every per-realization sum adds the same
-terms in the same order at any chunk size.  This relies on PCG64's
-``advance`` and on ``Generator.random`` using one 64-bit word per double:
-the fading draws come from a copy of the batch generator advanced past the
-position draws.
+The interference kernel :func:`_field_powers` works on chunks of whole
+realizations with about ``_CHUNK`` active interferers each, so its memory
+per worker thread is bounded by ``_CHUNK`` whatever the mean device count,
+unless one realization alone averages more than ``_CHUNK`` active
+interferers.  The chunk size is not part of the stream contract: every
+per-realization sum adds the same terms in the same order at any chunk size.
+This relies on PCG64's ``advance`` and on ``Generator.random`` using one
+64-bit word per double: the fading draws come from a copy of the batch
+generator advanced past the position draws.
 
 The kernel works in normalized units.  Every scenario SIR is a ratio of
 received powers ``tx * fading * gain(d)``, and both path-loss forms give
@@ -217,7 +217,7 @@ def _batches(n: int, size: int = _BATCH) -> list[tuple[int, int]]:
     return out
 
 
-def _field_sirs(
+def _field_powers(
     rng: np.random.Generator,
     batch: int,
     annulus_desired: int | np.ndarray,
@@ -226,7 +226,8 @@ def _field_sirs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one batch of active interference fields and return their
     normalized powers per realization: the strongest co-SF term, the co-SF
-    sum and the inter-SF sum (0 where the interferer set is empty).
+    sum and the inter-SF sum (0 where the interferer set is empty).  The
+    point step turns them into SIRs (:func:`_sirs`).
 
     An interferer at area fraction ``v`` contributes ``v**(-eta/2) * fading``
     (see the module docstring); ``annulus_desired`` is the desired annulus,
@@ -303,7 +304,7 @@ def _fields(
     for batch_index, batch in _batches(n):
         rng = np.random.default_rng([*stream, batch_index])
         fading = rng.exponential(size=batch)
-        yield fading, _field_sirs(rng, batch, annulus(batch_index), n_bar, cfg)
+        yield fading, _field_powers(rng, batch, annulus(batch_index), n_bar, cfg)
 
 
 def _ring_fields(
@@ -318,7 +319,7 @@ def _sirs(
     powers: tuple[np.ndarray, np.ndarray, np.ndarray], s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three scenario SIRs of desired signals ``s`` against one batch of
-    field powers (see :func:`_field_sirs`), inf where the relevant
+    field powers (see :func:`_field_powers`), inf where the relevant
     interferer set is empty."""
     strongest, co_power, inter_power = powers
     # Dividing only where the power is positive keeps the empty-set points

@@ -138,15 +138,11 @@ def db_to_linear(x_db: float) -> float:
 
 def noise_floor_dbm(cfg: NetworkConfig) -> float:
     """Thermal noise floor in dBm: density + receiver noise figure + 10*log10(BW)."""
-    if cfg.bandwidth_hz <= 0:
-        raise ConfigError(f"bandwidth_hz must be > 0, got {cfg.bandwidth_hz}")
     return cfg.noise_density_dbm_hz + cfg.noise_figure_db + 10.0 * math.log10(cfg.bandwidth_hz)
 
 
 def wavelength_m(cfg: NetworkConfig) -> float:
     """Carrier wavelength in meters."""
-    if cfg.carrier_hz <= 0:
-        raise ConfigError(f"carrier_hz must be > 0, got {cfg.carrier_hz}")
     return SPEED_OF_LIGHT_M_S / cfg.carrier_hz
 
 
@@ -189,11 +185,3 @@ def parse_config_text(text: str) -> dict[str, float | int]:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         values[key] = _parse_value(key, raw_value.strip())
     return values
-
-
-def load_config(path: str, **overrides: float | int) -> NetworkConfig:
-    """Load a config file and apply keyword overrides on top of it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
-    values.update(overrides)
-    return NetworkConfig(**values)  # type: ignore[arg-type]

@@ -24,7 +24,6 @@ from lora_reliability.geometry import (
     annulus_to_sf,
     sample_device_count,
     sample_realization,
-    sample_uniform_position,
 )
 from lora_reliability.interference import (
     received_power_mw,
@@ -169,15 +168,21 @@ def test_criterion_09_statistical_sanity():
     assert abs(draws.mean() - 1500.0) <= 0.01 * 1500.0
     assert abs(draws.var(ddof=1) - 1500.0) <= 0.01 * 1500.0
 
+    # Positions as the model draws them: the first 100 000 interferers of
+    # successive realizations.
+    cfg = NetworkConfig()
     rng = np.random.default_rng(42)
-    r = 12.0
-    d2 = np.array(
-        [sample_uniform_position(r, 0.001, rng).distance_km ** 2 for _ in range(100_000)]
-    )
-    ks = stats.kstest(d2 / r**2, "uniform")
+    d2 = []
+    while len(d2) < 100_000:
+        d2.extend(
+            dev.position.distance_km**2
+            for dev in sample_realization(cfg, 5.0, rng).interferers
+        )
+    r = cfg.cell_radius_km
+    ks = stats.kstest(np.array(d2[:100_000]) / r**2, "uniform")
     assert ks.pvalue > 0.01
 
-    cfg = NetworkConfig()  # duty 1%, mean 1500 -> 15 active expected
+    # duty 1%, mean 1500 -> 15 active expected
     rng = np.random.default_rng(7)
     n = 1500
     active_mean = (

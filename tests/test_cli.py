@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +272,20 @@ def test_path_loss_form_flag_changes_output(capsys):
     _, standard, _ = run_cli(base, capsys)
     _, literal, _ = run_cli(base + ["--path-loss-form", "paper_literal"], capsys)
     assert standard != literal
+
+
+def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_paper_sweeps.py"
+    spec = importlib.util.spec_from_file_location("reproduce_paper_sweeps", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    flags = ["--seed", "3", "--realizations", "64", "--threads", "2"]
+    assert module.main(flags + ["--out-dir", str(tmp_path / "script")]) == 0
+    capsys.readouterr()  # the script's progress lines
+    for command, name in (
+        ("sweep-distance", "success_vs_distance.csv"),
+        ("sweep-density", "coverage_vs_density.csv"),
+    ):
+        code, out, _ = run_cli([command] + flags, capsys)
+        assert code == 0
+        assert (tmp_path / "script" / name).read_bytes() == out.encode()

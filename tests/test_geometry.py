@@ -10,19 +10,23 @@ from lora_reliability.geometry import (
     annulus_to_sf,
     sample_device_count,
     sample_realization,
-    sample_uniform_position,
 )
 from lora_reliability.params import ConfigError, NetworkConfig
 
 
-class _FixedUniform:
-    """Feeds predetermined 'uniform' draws into position sampling."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
+def _interferer_squared_distances(seed, n=100_000):
+    """Squared distances of the first ``n`` interferers that
+    ``sample_realization`` places, pooled over successive default-config
+    realizations from one seeded generator."""
+    cfg = NetworkConfig()
+    rng = np.random.default_rng(seed)
+    d2 = []
+    while len(d2) < n:
+        d2.extend(
+            dev.position.distance_km**2
+            for dev in sample_realization(cfg, 5.0, rng).interferers
+        )
+    return np.array(d2[:n])
 
 
 def test_poisson_mean_zero_is_degenerate():
@@ -44,40 +48,15 @@ def test_poisson_mean_and_variance_at_1500():
     assert draws.var(ddof=1) == pytest.approx(1500.0, rel=0.05)
 
 
-def test_uniform_position_boundary_draws():
-    pos = sample_uniform_position(12.0, 0.001, _FixedUniform([1.0, 0.0]))
-    assert pos.distance_km == 12.0
-    assert pos.angle_rad == 0.0
-    pos = sample_uniform_position(12.0, 0.001, _FixedUniform([0.0, 0.5]))
-    assert pos.distance_km == 0.001  # clamp engages
-    assert pos.angle_rad == pytest.approx(math.pi)
-
-
-def test_uniform_position_rejects_bad_clamp():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        sample_uniform_position(12.0, 0.0, rng)
-    with pytest.raises(ConfigError):
-        sample_uniform_position(12.0, 12.0, rng)
-
-
 def test_uniform_position_area_ratio():
-    rng = np.random.default_rng(7)
-    n = 100_000
-    inside = sum(
-        sample_uniform_position(12.0, 0.001, rng).distance_km <= 6.0 for _ in range(n)
-    )
+    d2 = _interferer_squared_distances(7)
     # P(d <= R/2) = (1/2)^2 for uniform-by-area placement
-    assert inside / n == pytest.approx(0.25, abs=0.005)
+    assert (d2 <= 6.0**2).mean() == pytest.approx(0.25, abs=0.005)
 
 
 def test_uniform_position_squared_distance_is_uniform():
-    rng = np.random.default_rng(42)
-    r = 12.0
-    d2 = np.array(
-        [sample_uniform_position(r, 0.001, rng).distance_km ** 2 for _ in range(100_000)]
-    )
-    result = stats.kstest(d2 / r**2, "uniform")
+    r = NetworkConfig().cell_radius_km
+    result = stats.kstest(_interferer_squared_distances(42) / r**2, "uniform")
     assert result.pvalue > 0.01
 
 

@@ -1,4 +1,4 @@
-"""The interference kernel ``montecarlo._field_sirs``, with the point step's
+"""The interference kernel ``montecarlo._field_powers``, with the point step's
 divisions ``montecarlo._sirs``, against the physical-unit arithmetic it
 replaced, and its ring rule at the ring starts.
 
@@ -83,7 +83,7 @@ def test_kernel_matches_physical_unit_reference(monkeypatch, form, kind, n_bar, 
     s_norm, s_mw, annulus, ring = _desired(kind, cfg, model, np.random.default_rng(3), 4096)
     np.testing.assert_array_equal(annulus, ring)
 
-    powers = montecarlo._field_sirs(np.random.default_rng(11), 4096, annulus, n_bar, cfg)
+    powers = montecarlo._field_powers(np.random.default_rng(11), 4096, annulus, n_bar, cfg)
     sirs = montecarlo._sirs(powers, s_norm)
     reference = _reference_field_sirs(np.random.default_rng(11), s_mw, ring, n_bar, cfg, model)
 
@@ -116,7 +116,7 @@ def test_kernel_ring_start_belongs_to_outer_ring():
         cfg = NetworkConfig(cell_radius_km=r)
         for k in range(6):
             draws = _OneInterfererEach(RING_START_U)
-            powers = montecarlo._field_sirs(draws, 6, k, 1.0, cfg)
+            powers = montecarlo._field_powers(draws, 6, k, 1.0, cfg)
             _, g_co, g_inter = montecarlo._sirs(powers, np.ones(6))
             same = np.arange(6) == k
             np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r} k={k}")
@@ -125,7 +125,7 @@ def test_kernel_ring_start_belongs_to_outer_ring():
         for shift, same in ((0, True), (1, False)):
             draws = _OneInterfererEach(RING_START_U)
             annulus = (np.arange(6) - shift) % 6
-            powers = montecarlo._field_sirs(draws, 6, annulus, 1.0, cfg)
+            powers = montecarlo._field_powers(draws, 6, annulus, 1.0, cfg)
             _, g_co, g_inter = montecarlo._sirs(powers, np.ones(6))
             np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r}")
             np.testing.assert_array_equal(np.isfinite(g_inter), not same, err_msg=f"R={r}")

@@ -170,7 +170,7 @@ def test_kernel_memory_bounded_by_chunk():
     s_desired = np.full(4096, 1e-9)
     tracemalloc.start()
     try:
-        powers = montecarlo._field_sirs(np.random.default_rng(0), 4096, 3, 1e5, cfg)
+        powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 3, 1e5, cfg)
         sirs = montecarlo._sirs(powers, s_desired)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

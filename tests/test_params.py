@@ -10,7 +10,6 @@ from lora_reliability.params import (
     NetworkConfig,
     db_to_linear,
     dbm_to_mw,
-    load_config,
     mw_to_dbm,
     noise_floor_dbm,
     parse_config_text,
@@ -210,16 +209,6 @@ def test_parse_config_text_bad_value():
 def test_parse_config_text_missing_equals():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("seed 3")
-
-
-def test_load_config(tmp_path):
-    path = tmp_path / "net.cfg"
-    path.write_text("cell_radius_km = 9\nseed = 4\n", encoding="utf-8")
-    cfg = load_config(str(path))
-    assert cfg.cell_radius_km == 9.0
-    assert cfg.seed == 4
-    cfg2 = load_config(str(path), seed=8)
-    assert cfg2.seed == 8
 
 
 def test_noise_floor_scales_with_log_bandwidth():
