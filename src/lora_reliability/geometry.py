@@ -24,13 +24,13 @@ class OutOfCellError(ValueError):
     """Distance outside the [0, R] cell range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     distance_km: float
     angle_rad: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndDevice:
     """One end device: where it is, which SF it uses, and its channel state."""
 
@@ -112,17 +112,13 @@ def sample_realization(
     active = rng.random(n) < cfg.duty_cycle
 
     radius = cfg.cell_radius_km
-    d_min = cfg.min_distance_km
+    distances = np.maximum(cfg.min_distance_km, radius * np.sqrt(radial))
+    # Positional arguments (position, sf, tx_power_mw, fading, active):
+    # keywords cost more per device.
     interferers = [
-        EndDevice(
-            position=Position(d, TWO_PI * float(angular[i])),
-            sf=annulus_to_sf(d, radius),
-            tx_power_mw=tx_mw,
-            fading=float(fadings[i]),
-            active=bool(active[i]),
-        )
-        for i, d in enumerate(
-            max(d_min, radius * math.sqrt(float(u))) for u in radial
+        EndDevice(Position(d, angle), annulus_to_sf(d, radius), tx_mw, fading, on)
+        for d, angle, fading, on in zip(
+            distances.tolist(), (TWO_PI * angular).tolist(), fadings.tolist(), active.tolist()
         )
     ]
     return Realization(desired=desired, interferers=interferers)

@@ -4,14 +4,18 @@ coverage probability versus the average number of devices.
 Determinism contract: every work unit draws from its own generator seeded
 by ``(seed, stream tag, unit index, batch index)`` and results are merged in
 index order, so output is bit-identical no matter how many workers run the
-sweep.  The distance sweep's unit is the (annulus, batch) pair: the grid
-points of one annulus share the desired fading and the interference field
-of each batch, because in normalized units a point's SIR is
-``(d/R)**(-eta) * fading / I`` and the law of the field power ``I`` depends
-on ``d`` only through the desired annulus.  So a row depends on its distance,
-the seed and the realization count alone, not on the rest of the grid, and
-the rows of one annulus are positively correlated (common random numbers).
-The density sweep's unit is the (point, batch) pair.
+sweep.  The distance sweep's unit is the (annulus, batch) pair.  The active
+devices form a Poisson process on the cell, which is the superposition of
+six independent Poisson processes, one per annulus, so each batch draws the
+field once for the whole grid, as six annulus sub-fields
+(:func:`_ring_batches`).  A desired device in annulus k reads sub-field k as
+its co-SF field and the other five as its inter-SF field; the grid points of
+one annulus also share annulus k's desired fading, because in normalized
+units a point's SIR is ``(d/R)**(-eta) * fading / I``.  So a row depends on
+its distance, the seed and the realization count alone, not on the rest of
+the grid; all rows are positively correlated (common random numbers), those
+of one annulus most.  The density sweep's unit is the (point, batch) pair,
+with the field drawn on the whole cell.
 
 The interference kernel :func:`_field_powers` works on chunks of whole
 realizations with about ``_CHUNK`` active interferers each, so its memory
@@ -28,8 +32,9 @@ received powers ``tx * fading * gain(d)``, and both path-loss forms give
 ``gain(d) = C * d**(-eta)`` with a constant ``C``, so the transmit power,
 wavelength, ``4*pi``, the km-to-m factor and the path-loss form cancel.  A
 device at uniform-by-area draw ``u`` enters with its clamped area fraction
-``v = max(u, (d_min/R)**2) = (d/R)**2`` as ``fading * v**(-eta/2)``, and its
-annulus is read off ``v`` against the squared ring starts ``_RING_U``.  The
+``v = max(u, (d_min/R)**2) = (d/R)**2`` as ``fading * v**(-eta/2)``.  Its
+annulus is the one of the sub-field that drew it, or, in a whole-cell draw,
+is read off ``v`` against the squared ring starts ``_RING_U``.  The
 physical gain is computed only where noise needs it: the noise-only success
 ``p_snr`` and, in the density sweep, its per-realization form.
 
@@ -47,8 +52,8 @@ against; no sweep or estimate calls it.
 
 from __future__ import annotations
 
+import contextlib
 import copy
-import itertools
 import math
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -223,17 +228,26 @@ def _field_powers(
     annulus_desired: int | np.ndarray,
     n_bar: float,
     cfg: NetworkConfig,
+    interval: tuple[float, float] = (0.0, 1.0),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one batch of active interference fields and return their
     normalized powers per realization: the strongest co-SF term, the co-SF
     sum and the inter-SF sum (0 where the interferer set is empty).  The
     point step turns them into SIRs (:func:`_sirs`).
 
-    An interferer at area fraction ``v`` contributes ``v**(-eta/2) * fading``
-    (see the module docstring); ``annulus_desired`` is the desired annulus,
-    one for the batch or one per realization.
+    The field is a Poisson process of intensity ``duty * n_bar`` per unit
+    of area fraction, restricted to the uniform-by-area draws ``u`` in
+    ``interval = [lo, hi)``: the whole cell ``[0, 1)``, or one annulus's
+    sub-field (:func:`_ring_intervals`).  An interferer at area fraction
+    ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading`` (see
+    the module docstring); ``annulus_desired`` is the desired annulus, one
+    for the batch or one per realization.  A sub-field of the desired
+    annulus itself is all co-SF: its interferers are that annulus's devices,
+    so no draw is tested against the ring starts.
     """
-    counts = rng.poisson(cfg.duty_cycle * n_bar, size=batch)
+    lo_u, hi_u = interval
+    width = hi_u - lo_u
+    counts = rng.poisson(cfg.duty_cycle * n_bar * width, size=batch)
     total = int(counts.sum())
     co_power = np.zeros(batch)
     inter_power = np.zeros(batch)
@@ -257,6 +271,7 @@ def _field_powers(
     per_realization = np.ndim(annulus_desired) > 0
     inner = _RING_U[annulus_desired]  # the desired ring is [inner, outer)
     outer = _RING_U[annulus_desired + 1]
+    own_ring = not per_realization and inner <= max(lo_u, v_min) and hi_u <= outer
     ends = np.cumsum(counts)
     lo = 0
     while lo < batch:
@@ -267,52 +282,95 @@ def _field_powers(
         size = int(ends[hi - 1]) - base
         chunk_counts = counts[lo:hi]
         w = rng.random(size)
-        np.maximum(w, v_min, out=w)
+        if width < 1.0:  # on [0, 1) both steps would be exact no-ops
+            w *= width
+            w += lo_u
+        if lo_u < v_min:
+            np.maximum(w, v_min, out=w)
         if per_realization:
             same = w >= np.repeat(inner[lo:hi], chunk_counts)
             same &= w < np.repeat(outer[lo:hi], chunk_counts)
-        else:
+        elif not own_ring:
             same = (w >= inner) & (w < outer)
         w **= exponent
         w *= fading_rng.exponential(size=size)
-        # w - w is exactly 0, so w holds the other-SF terms after this, and
-        # zeros change neither a segment's sum nor its maximum.
-        co_terms = w * same
-        w -= co_terms
         # reduceat misreads empty segments, so it runs over the non-empty
         # realizations' (strictly increasing) starts only.
         filled = chunk_counts > 0
         starts = (ends[lo:hi] - chunk_counts - base)[filled]
         rows = lo + np.flatnonzero(filled)
+        co_terms = w
+        if not own_ring:
+            # w - w is exactly 0, so w holds the other-SF terms after this,
+            # and zeros change neither a segment's sum nor its maximum.
+            co_terms = w * same
+            w -= co_terms
+            inter_power[rows] = np.add.reduceat(w, starts)
         co_power[rows] = np.add.reduceat(co_terms, starts)
         strongest[rows] = np.maximum.reduceat(co_terms, starts)
-        inter_power[rows] = np.add.reduceat(w, starts)
         lo = hi
     return strongest, co_power, inter_power
 
 
-def _fields(
-    n: int,
+def _draw(
     stream: tuple[int, ...],
-    annulus: Callable[[int], int | np.ndarray],
+    batch: int,
+    annulus: int | np.ndarray,
     n_bar: float,
     cfg: NetworkConfig,
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Yield the desired fading and the field powers of each batch of ``n``
-    realizations, in batch order.  Batch ``b`` draws both from generator
-    ``(*stream, b)``, its fields against desired annulus ``annulus(b)``."""
+    interval: tuple[float, float],
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One batch from generator ``stream``: the desired fading, then the
+    field powers (see :func:`_field_powers`)."""
+    rng = np.random.default_rng(stream)
+    fading = rng.exponential(size=batch)
+    return fading, _field_powers(rng, batch, annulus, n_bar, cfg, interval)
+
+
+def _ring_intervals(cfg: NetworkConfig) -> list[tuple[float, float]]:
+    """The ``u``-interval of each annulus's sub-field, in annulus order: the
+    draws whose clamped area fraction ``max(u, (d_min/R)**2)`` lies in the
+    annulus.  That is ``[_RING_U[k], min(_RING_U[k+1], 1))``, except that the
+    annulus holding ``(d_min/R)**2`` starts at 0 and any inside it is empty.
+    """
+    v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
+    return [
+        (float(lo) if lo > v_min else 0.0, float(min(hi, 1.0)) if hi > v_min else 0.0)
+        for lo, hi in zip(_RING_U[:-1], _RING_U[1:])
+    ]
+
+
+def _ring_batches(
+    cfg: NetworkConfig, n: int, seed: int, run: Callable = map
+) -> Iterator[list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
+    """Per batch of ``n`` realizations, in batch order: the desired fading
+    and the field powers of a desired device in each annulus, in annulus
+    order.
+
+    The active devices are the superposition of six independent Poisson
+    processes, one per annulus (:func:`_ring_intervals`).  Batch ``b`` of
+    annulus k draws annulus k's desired fading, then its sub-field, from
+    generator ``(seed, _TAG_DISTANCE, k, b)``.  Annulus k reads its own
+    sub-field's strongest term and sum, and as inter-SF power the other five
+    sums added in annulus order: the total minus its own sum would cancel to
+    0 where its own sum dominates, and turn a finite SIR into inf.  ``run``
+    is ``map`` or a thread pool's ``map``; the bytes are the same for both.
+    """
+    intervals = _ring_intervals(cfg)
     for batch_index, batch in _batches(n):
-        rng = np.random.default_rng([*stream, batch_index])
-        fading = rng.exponential(size=batch)
-        yield fading, _field_powers(rng, batch, annulus(batch_index), n_bar, cfg)
 
+        def draw(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+            stream = (seed, _TAG_DISTANCE, k, batch_index)
+            return _draw(stream, batch, k, cfg.mean_devices, cfg, intervals[k])
 
-def _ring_fields(
-    cfg: NetworkConfig, n: int, seed: int, ring: int
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """:func:`_fields` for every distance-sweep point in annulus ``ring``:
-    batch ``b`` draws from stream ``(seed, _TAG_DISTANCE, ring, b)``."""
-    return _fields(n, (seed, _TAG_DISTANCE, ring), lambda b: ring, cfg.mean_devices, cfg)
+        # Outer annuli hold more devices; starting them first evens the
+        # threads' loads.
+        rings = list(run(draw, range(5, -1, -1)))[::-1]
+        sums = [co_power for _, (_, co_power, _) in rings]
+        yield [
+            (fading, (strongest, sums[k], sum(sums[j] for j in range(6) if j != k)))
+            for k, (fading, (strongest, _, _)) in enumerate(rings)
+        ]
 
 
 def _sirs(
@@ -434,14 +492,17 @@ class _Point:
         )
 
 
-def _run_units(worker: Callable, units: list, threads: int) -> list:
-    """``worker`` over ``units``, results in unit order."""
+@contextlib.contextmanager
+def _mapper(threads: int) -> Iterator[Callable]:
+    """``map`` for one thread, else the ``map`` of a pool of ``threads``
+    threads that lives as long as the context; both keep input order."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or len(units) <= 1:
-        return [worker(unit) for unit in units]
+    if threads == 1:
+        yield map
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, units))
+        yield pool.map
 
 
 def success_vs_distance(
@@ -455,37 +516,28 @@ def success_vs_distance(
     desired device pinned at the abscissa and the interference field
     resampled every realization.
 
-    The grid points of one annulus share their draws: each batch of the
-    annulus draws the desired fading and the field once, and every point
-    scales the same fading by its own gain.  A row therefore depends only on
-    its distance, the seed and the realization count, not on the rest of
-    the grid, and the points of one annulus are positively correlated.
+    Every batch draws one field for the whole grid, as six annulus
+    sub-fields (:func:`_ring_batches`), and the grid points of one annulus
+    scale the same desired fading by their own gains.  A row therefore
+    depends only on its distance, the seed and the realization count, not
+    on the rest of the grid, and all points are positively correlated,
+    those of one annulus most.
     """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
     pinned = [_pinned(cfg, d_km) for d_km in spec.grid]
-    # Rings are non-decreasing along the increasing grid, so each ring's
-    # points are one run of consecutive indices.
-    units = [
-        (ring, list(indices))
-        for ring, indices in itertools.groupby(range(len(spec.grid)), lambda i: pinned[i][1])
+    points = [_Point(spec) for _ in spec.grid]
+    with _mapper(threads) as run:
+        for rings in _ring_batches(cfg, spec.realizations_per_point, spec.seed, run):
+            for point, (gain, ring) in zip(points, pinned):
+                fading, powers = rings[ring]
+                point.add(powers, gain * fading)
+    return [
+        point.result(
+            d_km, snr_success_probability(d_km, SF_MIN + ring, cfg, path_loss_form)
+        )
+        for point, d_km, (_, ring) in zip(points, spec.grid, pinned)
     ]
-
-    def worker(unit: tuple[int, list[int]]) -> list[CurvePoint]:
-        ring, indices = unit
-        points = [_Point(spec) for _ in indices]
-        for fading, powers in _ring_fields(cfg, spec.realizations_per_point, spec.seed, ring):
-            for point, i in zip(points, indices):
-                point.add(powers, pinned[i][0] * fading)
-        return [
-            point.result(
-                spec.grid[i],
-                snr_success_probability(spec.grid[i], SF_MIN + ring, cfg, path_loss_form),
-            )
-            for point, i in zip(points, indices)
-        ]
-
-    return [point for ring_points in _run_units(worker, units, threads) for point in ring_points]
 
 
 def coverage_vs_density(
@@ -506,29 +558,26 @@ def coverage_vs_density(
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     model = ChannelModel.from_config(cfg, path_loss_form)
+    batches = _batches(spec.realizations_per_point)
     desired = [  # per batch: normalized gain, annulus index, noise-only success
         _by_area(
             np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index]).random(batch),
             cfg,
             model,
         )
-        for batch_index, batch in _batches(spec.realizations_per_point)
+        for batch_index, batch in batches
     ]
 
     def worker(i: int) -> CurvePoint:
         point = _Point(spec)
-        fields = _fields(
-            spec.realizations_per_point,
-            (spec.seed, _TAG_DENSITY_FIELD, i),
-            lambda b: desired[b][1],
-            spec.grid[i],
-            cfg,
-        )
-        for (gain, _, s_snr), (fading, powers) in zip(desired, fields):
+        for (batch_index, batch), (gain, annulus, s_snr) in zip(batches, desired):
+            stream = (spec.seed, _TAG_DENSITY_FIELD, i, batch_index)
+            fading, powers = _draw(stream, batch, annulus, spec.grid[i], cfg, (0.0, 1.0))
             point.add(powers, gain * fading, s_snr)
         return point.result(spec.grid[i])
 
-    return _run_units(worker, list(range(len(spec.grid))), threads)
+    with _mapper(threads) as run:
+        return list(run(worker, range(len(spec.grid))))
 
 
 def estimate_mean_sir(
@@ -539,16 +588,17 @@ def estimate_mean_sir(
 ) -> dict[str, SirStats]:
     """Statistics of the per-scenario SIR draws that the ``mean-sir`` mode
     averages.  For the same seed and realization count these are the draws
-    of the ``d_km`` row of any distance sweep whose grid holds ``d_km``, so,
-    for instance, ``success_from_sir(stats["co"].mean)`` is that row's
-    ``p_co`` with either path-loss form.  Keys: ``max_co``, ``co``,
-    ``inter``."""
+    of the ``d_km`` row of any distance sweep whose grid holds ``d_km``: it
+    reads the same six annulus sub-fields (:func:`_ring_batches`).  So, for
+    instance, ``success_from_sir(stats["co"].mean)`` is that row's ``p_co``
+    with either path-loss form.  Keys: ``max_co``, ``co``, ``inter``."""
     if n < 1:
         raise ValueError(f"need n >= 1 realizations, got {n}")
     gain, ring = _pinned(cfg, d_km)
     finite = [_MeanAcc() for _ in range(3)]
     kept: list[list[np.ndarray]] = [[], [], []]
-    for fading, powers in _ring_fields(cfg, n, seed, ring):
+    for rings in _ring_batches(cfg, n, seed):
+        fading, powers = rings[ring]
         for acc, arrays, gammas in zip(finite, kept, _sirs(powers, gain * fading)):
             acc.add(gammas[np.isfinite(gammas)])
             arrays.append(gammas)

@@ -36,14 +36,14 @@ REALIZATIONS = 5000
 
 # (kind, joint_mode, sir_mode, path_loss_form) -> sha256 of the CSV text.
 GOLDEN = {
-    ("distance", "success-product", "substitution", "standard"): "6b32cb0c752004716f142d05e302dc3812ae1c689ca2627a42614aefa85ec18d",
-    ("distance", "success-product", "substitution", "paper_literal"): "a25f633e196155c8ec455ec73ffdf41137cf179c54e5e78eb0806d24ceed95c4",
-    ("distance", "success-product", "mean-sir", "standard"): "0ac28d2c5ad47efbd4d41b61321f638ab69e26bcb9d6479af427e5661f5aaeed",
-    ("distance", "success-product", "mean-sir", "paper_literal"): "96593f5bffbd987efc6e3d439d4e82a1c07db57cf5b2c52da5c2bc4c4e6646ae",
-    ("distance", "outage-product", "substitution", "standard"): "b829481bbc3d0ab69355d5523426f284d47a0fe642816d7cca328c8e190a08bc",
-    ("distance", "outage-product", "substitution", "paper_literal"): "ae465a0ff9c88f5ccaa25ea3ceae687633a99d517800b362316f678cff912b22",
-    ("distance", "outage-product", "mean-sir", "standard"): "59e8e93d85fb0ee113660a7520569a54f9090b87bb057d92e143a61e3d6cb84d",
-    ("distance", "outage-product", "mean-sir", "paper_literal"): "1430d677ddf70032b9a927d4b5f42494836c3cca8f1f7a5eb0b49531571343a1",
+    ("distance", "success-product", "substitution", "standard"): "982f9369ed1c9ff4155f36d1dbf4b662d9b1b7874b180efa98eef78a5e6f3a98",
+    ("distance", "success-product", "substitution", "paper_literal"): "1204acd8e7c7aa1b7606e1a765b4ea76a54e56a917b55d1603ef1ccf7f930555",
+    ("distance", "success-product", "mean-sir", "standard"): "1af81d7354454da22a2079127df70a509274e262a4a905c4104b3a3c068b623e",
+    ("distance", "success-product", "mean-sir", "paper_literal"): "cfda1190f796ba329c6ccd20c44a5ffdae3a169bfb19882ab9d0d3018d8addad",
+    ("distance", "outage-product", "substitution", "standard"): "5ecad3a5f148e02ec7d70d698dd941b974356f904c2a8987870176dada420536",
+    ("distance", "outage-product", "substitution", "paper_literal"): "d95bd8dd7e42c4d72c7af06f591aab953c0a5ef50a653a4e1ea4e134b853673c",
+    ("distance", "outage-product", "mean-sir", "standard"): "ece07a19d0acc6449a76acd52f636583028f4cecc6668915368f1799694e95fd",
+    ("distance", "outage-product", "mean-sir", "paper_literal"): "f6cc835caef3d2ac02824471dc503365124c67ba00059aeeff855fe8c54fe40a",
     ("density", "success-product", "substitution", "standard"): "e4a6c335d46be9dd05ed00c5607aebcb961239c140859bcd5bc47b2cb2359160",
     ("density", "success-product", "substitution", "paper_literal"): "1251a322eec75dccaaa214aaec4f376550662ad853116320bd15da7c277405fc",
     ("density", "success-product", "mean-sir", "standard"): "14f10cf82448d03b56569e5e7083c12ae2403f445458f3de12319aed4442a2a6",

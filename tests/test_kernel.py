@@ -6,9 +6,10 @@ The kernel works in normalized units: an interferer at area fraction
 ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading``.  The
 reference below computes every received power in milliwatts, as
 ``tx * fading * path_loss_array(max(d_min, R*sqrt(u)))`` with the ring index
-``int(6*d/R)``, from the same generator.  The SIRs are ratios of such powers,
-so the two must agree to rounding; the relative tolerance 1e-12 was fixed
-before the first comparison.
+``int(6*d/R)``, from the same generator and with ``u`` drawn on the same
+interval: the whole cell or one annulus's sub-field.  The SIRs are ratios of
+such powers, so the two must agree to rounding; the relative tolerance 1e-12
+was fixed before the first comparison.
 """
 
 import numpy as np
@@ -27,12 +28,14 @@ RING_START_U = np.array([(k / 6) ** 2 for k in range(6)])
 RADII_KM = [tenths / 10 for tenths in range(1, 301)]
 
 
-def _reference_field_sirs(rng, s_desired_mw, annulus_desired, n_bar, cfg, model):
-    """One batch of scenario SIRs in milliwatts, all draws at once."""
+def _reference_field_sirs(rng, s_desired_mw, annulus_desired, n_bar, cfg, model, interval):
+    """One batch of scenario SIRs in milliwatts, all draws at once, with
+    the interferers uniform by area on ``interval`` of the area fraction."""
     batch = s_desired_mw.shape[0]
-    counts = rng.poisson(cfg.duty_cycle * n_bar, size=batch)
+    lo, hi = interval
+    counts = rng.poisson(cfg.duty_cycle * n_bar * (hi - lo), size=batch)
     total = int(counts.sum())
-    u = rng.random(total)
+    u = lo + (hi - lo) * rng.random(total)
     fading = rng.exponential(size=total)
     dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
     ring = np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
@@ -83,14 +86,20 @@ def test_kernel_matches_physical_unit_reference(monkeypatch, form, kind, n_bar, 
     s_norm, s_mw, annulus, ring = _desired(kind, cfg, model, np.random.default_rng(3), 4096)
     np.testing.assert_array_equal(annulus, ring)
 
-    powers = montecarlo._field_powers(np.random.default_rng(11), 4096, annulus, n_bar, cfg)
-    sirs = montecarlo._sirs(powers, s_norm)
-    reference = _reference_field_sirs(np.random.default_rng(11), s_mw, ring, n_bar, cfg, model)
-
-    if n_bar == 30.0:
-        assert 0.5 < np.isinf(sirs[1]).mean() < 1.0  # empty realizations are covered
-    for got, want in zip(sirs, reference):
-        np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+    # The whole cell, then each annulus's sub-field: the desired annulus's
+    # own (all co-SF) and the others (all inter-SF for a pinned device).
+    for interval in [(0.0, 1.0)] + montecarlo._ring_intervals(cfg):
+        powers = montecarlo._field_powers(
+            np.random.default_rng(11), 4096, annulus, n_bar, cfg, interval
+        )
+        sirs = montecarlo._sirs(powers, s_norm)
+        reference = _reference_field_sirs(
+            np.random.default_rng(11), s_mw, ring, n_bar, cfg, model, interval
+        )
+        if n_bar == 30.0:  # empty realizations are covered
+            assert 0.5 < np.mean(powers[1] + powers[2] == 0.0) < 1.0, interval
+        for got, want in zip(sirs, reference):
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0, err_msg=f"{interval}")
 
 
 class _OneInterfererEach:
@@ -136,3 +145,21 @@ def test_desired_ring_start_belongs_to_outer_ring():
         cfg = NetworkConfig(cell_radius_km=r)
         _, annulus, _ = montecarlo._by_area(RING_START_U, cfg, ChannelModel.from_config(cfg))
         np.testing.assert_array_equal(annulus, np.arange(6), err_msg=f"R={r}")
+
+
+@pytest.mark.parametrize("d_min_km", [0.001, 1.9, 2.0, 3.0, 11.5])
+def test_ring_intervals_partition_the_clamped_cell(d_min_km):
+    """The annulus sub-fields hold exactly the draws whose clamped area
+    fraction lies in their annulus: the non-empty intervals tile [0, 1) in
+    annulus order, the first is the annulus of d_min, and no clamped draw
+    leaves its annulus.  Ring starts are every 2 km at R = 12 km."""
+    cfg = NetworkConfig(min_distance_km=d_min_km)
+    v_min = (d_min_km / cfg.cell_radius_km) ** 2
+    first = annulus_to_sf(d_min_km, cfg.cell_radius_km) - SF_MIN
+    intervals = montecarlo._ring_intervals(cfg)
+    assert intervals[:first] == [(0.0, 0.0)] * first
+    tiles = intervals[first:]
+    assert tiles[0][0] == 0.0 and tiles[-1][1] == 1.0
+    assert all(hi == lo for (_, hi), (lo, _) in zip(tiles, tiles[1:]))
+    for k, (lo, hi) in enumerate(tiles, start=first):
+        assert RING_START_U[k] <= max(lo, v_min) < hi <= min(((k + 1) / 6) ** 2, 1.0)

@@ -166,17 +166,50 @@ def test_interference_columns_independent_of_path_loss_form(kind, sir_mode):
 def test_kernel_memory_bounded_by_chunk():
     # About 4e6 active interferers in one 4096-realization batch; without
     # chunking the kernel holds about 10 arrays of that length (>200 MB).
+    # The outermost annulus's sub-field alone holds about 1.25e6.
     cfg = NetworkConfig()
     s_desired = np.full(4096, 1e-9)
+    ring_5 = montecarlo._ring_intervals(cfg)[5]
     tracemalloc.start()
     try:
         powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 3, 1e5, cfg)
         sirs = montecarlo._sirs(powers, s_desired)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ring_powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 5, 1e5, cfg, ring_5)
+        ring_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(np.isfinite(g).all() for g in sirs)
     assert peak < 16e6
+    assert (ring_powers[1] > 0.0).all() and not ring_powers[2].any()
+    assert ring_peak < 16e6
+
+
+def test_ring_inter_power_is_the_other_rings_sums_in_ring_order():
+    """Each annulus reads its own sub-field's strongest term and sum, and as
+    inter-SF power the other five sub-fields' sums added in annulus order."""
+    cfg = NetworkConfig()
+    intervals = montecarlo._ring_intervals(cfg)
+    for b, rings in enumerate(montecarlo._ring_batches(cfg, 5000, 9)):
+        batch = rings[0][0].size
+        sub = [
+            montecarlo._draw(
+                (9, montecarlo._TAG_DISTANCE, j, b), batch, j, cfg.mean_devices, cfg, intervals[j]
+            )
+            for j in range(6)
+        ]
+        for k, (fading, (strongest, co, inter)) in enumerate(rings):
+            own_fading, (own_strongest, own_co, own_inter) = sub[k]
+            np.testing.assert_array_equal(fading, own_fading)
+            np.testing.assert_array_equal(strongest, own_strongest)
+            np.testing.assert_array_equal(co, own_co)
+            assert not own_inter.any()
+            others = np.zeros(batch)
+            for j in range(6):
+                if j != k:
+                    others = others + sub[j][1][1]
+            np.testing.assert_array_equal(inter, others)
 
 
 def test_scenario_ordering_every_point():
@@ -354,7 +387,7 @@ def test_estimate_mean_sir_rejects_distance_outside_cell():
 
 @pytest.mark.parametrize("sir_mode", SIR_MODES)
 def test_distance_row_independent_of_the_rest_of_the_grid(sir_mode):
-    """A row draws from its annulus's streams only, so its bytes are the
+    """A row draws from the six ring streams only, so its bytes are the
     same alone, in the default grid and in another grid."""
     cfg = NetworkConfig()
     default = default_distance_grid(cfg)
