@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=f"quick {cli.DESK_REALIZATIONS}-realization run",
     )
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     n = cli.DESK_REALIZATIONS if args.desk else args.realizations

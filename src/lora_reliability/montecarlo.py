@@ -14,8 +14,15 @@ one annulus also share annulus k's desired fading, because in normalized
 units a point's SIR is ``(d/R)**(-eta) * fading / I``.  So a row depends on
 its distance, the seed and the realization count alone, not on the rest of
 the grid; all rows are positively correlated (common random numbers), those
-of one annulus most.  The density sweep's unit is the (point, batch) pair,
-with the field drawn on the whole cell.
+of one annulus most.  The density sweep's unit is the batch, across the
+whole grid, with fields drawn on the whole cell.  Its fields are nested: a
+Poisson process at ``n_bar_i`` is the one at ``n_bar_{i-1}`` plus an
+independent increment, so grid point i draws only that increment, from
+``(seed, _TAG_DENSITY_FIELD, i, batch)``, and adds it to the field of the
+point below it.  A density row therefore depends on the grid points below
+it, and its substitution-mode interference columns never rise with
+``n_bar``.  Each unit returns one-batch sums per point, which merge in batch
+order into the same floats a single loop would add.
 
 The interference kernel :func:`_field_powers` works on chunks of whole
 realizations with about ``_CHUNK`` active interferers each, so its memory
@@ -88,9 +95,9 @@ _BATCH = 4096
 _CHUNK = 1 << 15
 
 # Stream tags keep the generator families of the different draw purposes
-# disjoint.  The density sweep samples the desired-device distances from a
-# point-independent stream so the noise-only column is exactly identical
-# across the density grid.
+# disjoint.  The density sweep samples the desired devices' distances and
+# fading from a point-independent stream, so the noise-only column is exactly
+# identical across the density grid.
 _TAG_DISTANCE = 0
 _TAG_DENSITY_DESIRED = 1
 _TAG_DENSITY_FIELD = 2
@@ -201,6 +208,13 @@ class _MeanAcc:
         self.count += values.size
         self.total += float(values.sum())
         self.total_sq += float((values * values).sum())
+
+    def merge(self, other: _MeanAcc) -> None:
+        """Add ``other``'s sums.  Merging one-batch accumulators in batch
+        order adds the same floats in the same order as ``add``."""
+        self.count += other.count
+        self.total += other.total
+        self.total_sq += other.total_sq
 
     @property
     def mean(self) -> float:
@@ -463,6 +477,13 @@ class _Point:
             if self.substitution:
                 self.snr_sf.add(s_snr * s_sf)
 
+    def merge(self, other: _Point) -> None:
+        """Add the sums of ``other``, a point of the same spec."""
+        for acc, more in zip(
+            (*self.scenario, self.snr, self.snr_sf), (*other.scenario, other.snr, other.snr_sf)
+        ):
+            acc.merge(more)
+
     def result(self, abscissa: float, p_snr: float | None = None) -> CurvePoint:
         """The point's means and standard errors; ``p_snr`` is the
         closed-form noise-only success, when there is one."""
@@ -551,33 +572,47 @@ def coverage_vs_density(
     spatial average of success probability over a uniformly-by-area random
     desired-device location.
 
-    The desired devices of each batch are drawn once, from a
-    point-independent stream, and shared read-only by every grid point, which
-    is why the noise-only column ``p_snr`` is bit-identical across the grid.
+    The fields of the grid are nested.  A Poisson process of intensity
+    ``duty * n_bar_i`` is the one at ``n_bar_{i-1}`` plus an independent
+    increment of intensity ``duty * (n_bar_i - n_bar_{i-1})``, so each
+    batch walks the grid once and point i draws only its increment, from
+    generator ``(seed, _TAG_DENSITY_FIELD, i, batch)``, and adds it to the
+    running field powers.  The desired devices and their fading are drawn
+    once per batch, from generator ``(seed, _TAG_DENSITY_DESIRED, batch)``,
+    and every point reads them, which is why the noise-only column ``p_snr``
+    is bit-identical across the grid.  Each row keeps its law, but a row
+    depends on the grid points below it, and in substitution mode the
+    interference columns never rise with the mean device count.
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     model = ChannelModel.from_config(cfg, path_loss_form)
-    batches = _batches(spec.realizations_per_point)
-    desired = [  # per batch: normalized gain, annulus index, noise-only success
-        _by_area(
-            np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index]).random(batch),
-            cfg,
-            model,
-        )
-        for batch_index, batch in batches
-    ]
+    steps = np.diff(spec.grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
 
-    def worker(i: int) -> CurvePoint:
-        point = _Point(spec)
-        for (batch_index, batch), (gain, annulus, s_snr) in zip(batches, desired):
+    def unit(batch_key: tuple[int, int]) -> list[_Point]:
+        batch_index, batch = batch_key
+        rng = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
+        gain, annulus, s_snr = _by_area(rng.random(batch), cfg, model)
+        s = gain * rng.exponential(size=batch)
+        strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
+        points = []
+        for i, step in enumerate(steps):
             stream = (spec.seed, _TAG_DENSITY_FIELD, i, batch_index)
-            fading, powers = _draw(stream, batch, annulus, spec.grid[i], cfg, (0.0, 1.0))
-            point.add(powers, gain * fading, s_snr)
-        return point.result(spec.grid[i])
+            added = _field_powers(np.random.default_rng(stream), batch, annulus, step, cfg)
+            np.maximum(strongest, added[0], out=strongest)
+            co_power += added[1]
+            inter_power += added[2]
+            point = _Point(spec)
+            point.add((strongest, co_power, inter_power), s, s_snr)
+            points.append(point)
+        return points
 
+    totals = [_Point(spec) for _ in spec.grid]
     with _mapper(threads) as run:
-        return list(run(worker, range(len(spec.grid))))
+        for points in run(unit, _batches(spec.realizations_per_point)):
+            for total, point in zip(totals, points):
+                total.merge(point)
+    return [total.result(n_bar) for total, n_bar in zip(totals, spec.grid)]
 
 
 def estimate_mean_sir(

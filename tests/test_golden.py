@@ -44,14 +44,14 @@ GOLDEN = {
     ("distance", "outage-product", "substitution", "paper_literal"): "d95bd8dd7e42c4d72c7af06f591aab953c0a5ef50a653a4e1ea4e134b853673c",
     ("distance", "outage-product", "mean-sir", "standard"): "ece07a19d0acc6449a76acd52f636583028f4cecc6668915368f1799694e95fd",
     ("distance", "outage-product", "mean-sir", "paper_literal"): "f6cc835caef3d2ac02824471dc503365124c67ba00059aeeff855fe8c54fe40a",
-    ("density", "success-product", "substitution", "standard"): "e4a6c335d46be9dd05ed00c5607aebcb961239c140859bcd5bc47b2cb2359160",
-    ("density", "success-product", "substitution", "paper_literal"): "1251a322eec75dccaaa214aaec4f376550662ad853116320bd15da7c277405fc",
-    ("density", "success-product", "mean-sir", "standard"): "14f10cf82448d03b56569e5e7083c12ae2403f445458f3de12319aed4442a2a6",
-    ("density", "success-product", "mean-sir", "paper_literal"): "389c2546ca6bbc66ae41412aad5510369325cd8c49528e263d3c4ed85f7f46d9",
-    ("density", "outage-product", "substitution", "standard"): "5789294e640156d0c606bcad7b957872dc1b4c05a0563e02b844e33de6f1eaf3",
-    ("density", "outage-product", "substitution", "paper_literal"): "39b97543c66c5ec31f11c21624936eb2ebd597b9e241aacd52157c9d20f40942",
-    ("density", "outage-product", "mean-sir", "standard"): "2be70c745be771ec8f87df4c038c127e42851042762e13bfca5a8bddf1c8e9e1",
-    ("density", "outage-product", "mean-sir", "paper_literal"): "fe017b7f4f53a5a93d01c2c6356b4cb5bf733110c9dd2882838e3d74a38a7588",
+    ("density", "success-product", "substitution", "standard"): "4e5bb4b0935fb4e3ed2bce8865cc2cc34830ed96e7b1431c1eb16c8dde3769f4",
+    ("density", "success-product", "substitution", "paper_literal"): "a9502cd7ec3e396c9f198aeb5a7ecadfd2b2257ccd14a9b2ba43abc839b60330",
+    ("density", "success-product", "mean-sir", "standard"): "b92b154b8905655e286b50ab025018881e8d000931d943faa9d55cd8fcd7c867",
+    ("density", "success-product", "mean-sir", "paper_literal"): "b31112ab17f91ec99cfd0423805c77294a79f5b29cbae95e697b2ac63dad554f",
+    ("density", "outage-product", "substitution", "standard"): "5f719f3440fa16e1077e2b9d17a2732693f2778ca04ae758e92a652726881ed1",
+    ("density", "outage-product", "substitution", "paper_literal"): "dda17ecf704a6ffe1f0eef32aaaf3e7c4db00172ae3c9db5e44c8c9149ce1fc8",
+    ("density", "outage-product", "mean-sir", "standard"): "c44c4b847d83c9ad82f2ae8f12ba654d9fe961321ca2205707dd1ca6a40c02eb",
+    ("density", "outage-product", "mean-sir", "paper_literal"): "151fcf10d40297851e538d552036b48fdbbe3a167f673593a287d6063423b9c5",
 }
 
 

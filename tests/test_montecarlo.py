@@ -17,7 +17,13 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.analytic import SIR_MODES, combine_sf, outage_closed_form, success_from_sir
+from lora_reliability.analytic import (
+    JOINT_MODES,
+    SIR_MODES,
+    combine_sf,
+    outage_closed_form,
+    success_from_sir,
+)
 from lora_reliability.params import NetworkConfig
 
 
@@ -118,6 +124,16 @@ def test_density_determinism_across_thread_counts():
     assert coverage_vs_density(cfg, spec, threads=1) == coverage_vs_density(
         cfg, spec, threads=6
     )
+
+
+def test_density_batch_merge_independent_of_thread_count():
+    """Two full batches and a partial one: the per-batch sums of each point
+    merge in batch order whatever the thread count."""
+    cfg = NetworkConfig()
+    spec = _density_spec((0.0, 1.0, 30.0, 3000.0), n=2 * 4096 + 100, seed=42)
+    single = coverage_vs_density(cfg, spec, threads=1)
+    assert coverage_vs_density(cfg, spec, threads=2) == single
+    assert coverage_vs_density(cfg, spec, threads=3) == single
 
 
 @pytest.mark.parametrize("chunk", [1, 97])
@@ -281,6 +297,27 @@ def test_density_zero_point_certain():
     assert zero.probs.p_max_co == 1.0
     assert zero.probs.p_co == 1.0
     assert zero.probs.p_sf == 1.0
+
+
+@pytest.mark.parametrize(
+    "joint_mode, seed",
+    [("success-product", seed) for seed in range(6)]
+    + [(mode, seed) for mode in JOINT_MODES for seed in (11, 12)],
+)
+def test_density_substitution_columns_never_rise(joint_mode, seed):
+    """The density fields are nested: each grid point adds its increment to
+    the field of the point below it.  Every floating-point step from field
+    powers to a column's mean is monotone, so in substitution mode the
+    interference columns never rise with n_bar, with no tolerance."""
+    cfg = NetworkConfig()
+    grid = (0.0,) + default_density_grid(3000.0, 30)
+    points = coverage_vs_density(cfg, _density_spec(grid, seed=seed, joint_mode=joint_mode))
+    for below, above in zip(points, points[1:]):
+        for attr in ("p_max_co", "p_co", "p_sf", "p_snr_sf"):
+            assert getattr(above.probs, attr) <= getattr(below.probs, attr), (
+                attr,
+                above.abscissa,
+            )
 
 
 def test_density_trend():

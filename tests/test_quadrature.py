@@ -30,6 +30,14 @@ inequality brackets the joint column:
 sweep must lie within 4 standard errors of that bracket.  The bracket is
 loose, so the inter-SF factor the sweep multiplies into ``p_sf`` is also
 gated on its own against ``p_inter``, at the same |z| <= 4.
+
+The density sweep's ``p_co`` is the same head averaged over the desired
+device's clamped area fraction ``v_d = max(u, (d_min/R)**2)`` with ``u``
+uniform on the cell: the point mass ``(d_min/R)**2`` at ``v_d = (d_min/R)**2``,
+then 24 Gauss-Legendre nodes in each annulus.  The ring integral does not
+depend on ``n_bar``, so one array of it over the (v_d, x) nodes serves the
+whole grid.  Every point of a full-scale density sweep must lie within the
+same |z| <= 4.
 """
 
 import math
@@ -41,11 +49,18 @@ from scipy import integrate, special
 from lora_reliability import montecarlo
 from lora_reliability.analytic import success_from_sir_array
 from lora_reliability.geometry import annulus_to_sf
-from lora_reliability.montecarlo import SweepSpec, default_distance_grid, success_vs_distance
+from lora_reliability.montecarlo import (
+    SweepSpec,
+    coverage_vs_density,
+    default_density_grid,
+    default_distance_grid,
+    success_vs_distance,
+)
 from lora_reliability.params import SF_MIN, NetworkConfig
 
 Z_MAX = 4.0
 NODES = 200
+AREA_NODES = 24  # Gauss-Legendre nodes per annulus of the density average
 
 
 def _ring(d_km, cfg):
@@ -95,6 +110,58 @@ def _p_inter_oracle(d_km, cfg):
 
     outside = clamped(lo) + clamped(1.0) - clamped(hi)
     return 0.5 + float(np.sum(w * (2.0 + x) ** -1.5 / (1.0 - t) ** 2 * np.exp(-lam * outside)))
+
+
+def _area_nodes(cfg, area_nodes=AREA_NODES):
+    """Nodes and weights of the average over the desired device's clamped
+    area fraction, each with the u-interval of its co-SF interferers."""
+    v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
+    starts = [(j / 6) ** 2 for j in range(6)] + [1.0]
+    g, gw = np.polynomial.legendre.leggauss(area_nodes)
+    v_d, weight, lo, hi = [], [], [], []
+    for k in range(6):
+        # the draws u whose clamped area fraction lies in annulus k
+        ring = (starts[k] if starts[k] > v_min else 0.0, starts[k + 1])
+        if starts[k] <= v_min < starts[k + 1]:  # desired devices clamped to d_min
+            v_d.append(v_min)
+            weight.append(v_min)
+            lo.append(ring[0])
+            hi.append(ring[1])
+        lo_v, hi_v = max(starts[k], v_min), starts[k + 1]
+        if hi_v <= lo_v:
+            continue
+        v_d.extend(lo_v + 0.5 * (g + 1.0) * (hi_v - lo_v))
+        weight.extend(0.5 * gw * (hi_v - lo_v))
+        lo.extend([ring[0]] * area_nodes)
+        hi.extend([ring[1]] * area_nodes)
+    return np.array(v_d), np.array(weight), np.array(lo), np.array(hi)
+
+
+def _p_co_density_oracle(n_bars, cfg, area_nodes=AREA_NODES):
+    """``p_co`` of the density sweep at each mean device count in
+    ``n_bars``, vectorized over the (v_d, x) node grid."""
+    a = 0.5 * cfg.path_loss_exponent
+    v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
+    v_d, weight, lo, hi = _area_nodes(cfg, area_nodes)
+    v_d, lo, hi = v_d[:, None], lo[:, None], hi[:, None]
+    t, w = np.polynomial.legendre.leggauss(NODES)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    x = (t / (1.0 - t)) ** 2
+    b = v_d * x ** (1.0 / a)
+
+    def head(y):  # integral over [0, y] of dv / (1 + (v/b)**a)
+        return y * special.hyp2f1(1.0, 1.0 / a, 1.0 + 1.0 / a, -((y / b) ** a))
+
+    def clamped(y):  # the same integral of v = max(u, v_min) over u in [0, y]
+        mass = np.minimum(y, v_min) / (1.0 + (v_min / b) ** a)
+        return mass + np.where(y > v_min, head(np.maximum(y, v_min)) - head(v_min), 0.0)
+
+    ring = clamped(hi) - clamped(lo)  # independent of n_bar
+    outer = w * (2.0 + x) ** -1.5 / (1.0 - t) ** 2
+    return [
+        0.5 + float(weight @ (np.exp(-cfg.duty_cycle * n_bar * ring) @ outer))
+        for n_bar in n_bars
+    ]
 
 
 def _p_co_nested_quad(d_km, cfg):
@@ -170,6 +237,42 @@ def test_desk_distance_sweep_p_co_within_z_of_oracle():
         z.append((point.probs.p_co - _p_co_oracle(point.abscissa, cfg)) / point.stderr.p_co)
     worst = int(np.argmax(np.abs(z)))
     assert abs(z[worst]) <= Z_MAX, f"z = {z[worst]:.2f} at {spec.grid[worst]} km"
+
+
+def test_density_oracle_matches_scalar_oracle():
+    """The vectorized density oracle is the area average of the distance
+    oracle's ``p_co`` at the same desired nodes."""
+    cfg = NetworkConfig()
+    v_d, weight, _, _ = _area_nodes(cfg, 4)
+    scalar = sum(
+        wt * _p_co_oracle(cfg.cell_radius_km * math.sqrt(v), cfg) for v, wt in zip(v_d, weight)
+    )
+    assert _p_co_density_oracle([cfg.mean_devices], cfg, 4)[0] == pytest.approx(scalar, abs=1e-12)
+
+
+def test_density_oracle_converged_in_area_nodes():
+    n_bars = default_density_grid()
+    cfg = NetworkConfig()
+    coarse = _p_co_density_oracle(n_bars, cfg)
+    fine = _p_co_density_oracle(n_bars, cfg, 2 * AREA_NODES)
+    assert coarse == pytest.approx(fine, abs=1e-7)
+
+
+def test_full_density_sweep_p_co_within_z_of_oracle():
+    cfg = NetworkConfig()
+    spec = SweepSpec(
+        kind="density",
+        grid=default_density_grid(),
+        realizations_per_point=100_000,
+        seed=11,
+    )
+    oracle = _p_co_density_oracle(spec.grid, cfg)
+    z = []
+    for point, p_co in zip(coverage_vs_density(cfg, spec), oracle):
+        assert point.stderr.p_co > 0.0
+        z.append((point.probs.p_co - p_co) / point.stderr.p_co)
+    worst = int(np.argmax(np.abs(z)))
+    assert abs(z[worst]) <= Z_MAX, f"z = {z[worst]:.2f} at n_bar = {spec.grid[worst]}"
 
 
 def test_desk_distance_sweep_p_sf_within_z_of_association_bracket():
