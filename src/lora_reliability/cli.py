@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker threads (affects wall time only, never output bytes)",
+        help="worker threads of sweep-distance; sweep-density runs on one "
+        "(never changes output bytes)",
     )
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 

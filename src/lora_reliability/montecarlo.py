@@ -2,7 +2,7 @@
 coverage probability versus the average number of devices.
 
 Determinism contract: every work unit draws from its own generator seeded
-by ``(seed, stream tag, unit index, batch index)`` and results are merged in
+by ``(seed, stream tag, unit index, batch index)`` and results are added in
 index order, so output is bit-identical no matter how many workers run the
 sweep.  The distance sweep's unit is the (annulus, batch) pair.  The active
 devices form a Poisson process on the cell, which is the superposition of
@@ -14,15 +14,14 @@ one annulus also share annulus k's desired fading, because in normalized
 units a point's SIR is ``(d/R)**(-eta) * fading / I``.  So a row depends on
 its distance, the seed and the realization count alone, not on the rest of
 the grid; all rows are positively correlated (common random numbers), those
-of one annulus most.  The density sweep's unit is the batch, across the
-whole grid, with fields drawn on the whole cell.  Its fields are nested: a
-Poisson process at ``n_bar_i`` is the one at ``n_bar_{i-1}`` plus an
-independent increment, so grid point i draws only that increment, from
-``(seed, _TAG_DENSITY_FIELD, i, batch)``, and adds it to the field of the
-point below it.  A density row therefore depends on the grid points below
-it, and its substitution-mode interference columns never rise with
-``n_bar``.  Each unit returns one-batch sums per point, which merge in batch
-order into the same floats a single loop would add.
+of one annulus most.  The density sweep runs its batches in order on the
+calling thread, each across the whole grid, with fields drawn on the whole
+cell.  Its fields are nested: a Poisson process at ``n_bar_i`` is the one at
+``n_bar_{i-1}`` plus an independent increment, so grid point i draws only
+that increment, from ``(seed, _TAG_DENSITY_FIELD, i, batch)``, and adds it
+to the field of the point below it.  A density row therefore depends on the
+grid points below it, and its substitution-mode interference columns never
+rise with ``n_bar``.
 
 The interference kernel :func:`_field_powers` works on chunks of whole
 realizations with about ``_CHUNK`` active interferers each, so its memory
@@ -194,7 +193,7 @@ def default_density_grid(
 
 
 class _MeanAcc:
-    """Running mean/standard-error accumulator, merged in batch order.  The
+    """Running mean/standard-error accumulator, fed in batch order.  The
     mean of no values is inf: the mean-SIR of draws that are all inf."""
 
     __slots__ = ("count", "total", "total_sq")
@@ -209,13 +208,6 @@ class _MeanAcc:
         self.total += float(values.sum())
         self.total_sq += float((values * values).sum())
 
-    def merge(self, other: _MeanAcc) -> None:
-        """Add ``other``'s sums.  Merging one-batch accumulators in batch
-        order adds the same floats in the same order as ``add``."""
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else math.inf
@@ -228,9 +220,9 @@ class _MeanAcc:
         return math.sqrt(max(var, 0.0) / self.count)
 
 
-def _batches(n: int, size: int = _BATCH) -> list[tuple[int, int]]:
-    full, rem = divmod(n, size)
-    out = [(i, size) for i in range(full)]
+def _batches(n: int) -> list[tuple[int, int]]:
+    full, rem = divmod(n, _BATCH)
+    out = [(i, _BATCH) for i in range(full)]
     if rem:
         out.append((full, rem))
     return out
@@ -239,10 +231,10 @@ def _batches(n: int, size: int = _BATCH) -> list[tuple[int, int]]:
 def _field_powers(
     rng: np.random.Generator,
     batch: int,
-    annulus_desired: int | np.ndarray,
     n_bar: float,
     cfg: NetworkConfig,
     interval: tuple[float, float] = (0.0, 1.0),
+    annulus: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one batch of active interference fields and return their
     normalized powers per realization: the strongest co-SF term, the co-SF
@@ -251,13 +243,13 @@ def _field_powers(
 
     The field is a Poisson process of intensity ``duty * n_bar`` per unit
     of area fraction, restricted to the uniform-by-area draws ``u`` in
-    ``interval = [lo, hi)``: the whole cell ``[0, 1)``, or one annulus's
-    sub-field (:func:`_ring_intervals`).  An interferer at area fraction
+    ``interval = [lo, hi)``.  An interferer at area fraction
     ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading`` (see
-    the module docstring); ``annulus_desired`` is the desired annulus, one
-    for the batch or one per realization.  A sub-field of the desired
-    annulus itself is all co-SF: its interferers are that annulus's devices,
-    so no draw is tested against the ring starts.
+    the module docstring).  With ``annulus=None`` the field is one
+    annulus's sub-field (:func:`_ring_intervals`): every term is co-SF and
+    no draw is tested against the ring starts.  Otherwise ``annulus`` holds
+    one desired annulus per realization, the field is the whole cell, and
+    each term is co-SF if its ``v`` lies in the desired ring.
     """
     lo_u, hi_u = interval
     width = hi_u - lo_u
@@ -282,10 +274,6 @@ def _field_powers(
 
     v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
     exponent = -0.5 * cfg.path_loss_exponent
-    per_realization = np.ndim(annulus_desired) > 0
-    inner = _RING_U[annulus_desired]  # the desired ring is [inner, outer)
-    outer = _RING_U[annulus_desired + 1]
-    own_ring = not per_realization and inner <= max(lo_u, v_min) and hi_u <= outer
     ends = np.cumsum(counts)
     lo = 0
     while lo < batch:
@@ -301,11 +289,9 @@ def _field_powers(
             w += lo_u
         if lo_u < v_min:
             np.maximum(w, v_min, out=w)
-        if per_realization:
-            same = w >= np.repeat(inner[lo:hi], chunk_counts)
-            same &= w < np.repeat(outer[lo:hi], chunk_counts)
-        elif not own_ring:
-            same = (w >= inner) & (w < outer)
+        if annulus is not None:  # ring k is [_RING_U[k], _RING_U[k + 1])
+            same = w >= np.repeat(_RING_U[annulus[lo:hi]], chunk_counts)
+            same &= w < np.repeat(_RING_U[annulus[lo:hi] + 1], chunk_counts)
         w **= exponent
         w *= fading_rng.exponential(size=size)
         # reduceat misreads empty segments, so it runs over the non-empty
@@ -314,7 +300,7 @@ def _field_powers(
         starts = (ends[lo:hi] - chunk_counts - base)[filled]
         rows = lo + np.flatnonzero(filled)
         co_terms = w
-        if not own_ring:
+        if annulus is not None:
             # w - w is exactly 0, so w holds the other-SF terms after this,
             # and zeros change neither a segment's sum nor its maximum.
             co_terms = w * same
@@ -329,16 +315,15 @@ def _field_powers(
 def _draw(
     stream: tuple[int, ...],
     batch: int,
-    annulus: int | np.ndarray,
     n_bar: float,
     cfg: NetworkConfig,
     interval: tuple[float, float],
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One batch from generator ``stream``: the desired fading, then the
-    field powers (see :func:`_field_powers`)."""
+    powers of one annulus's sub-field (see :func:`_field_powers`)."""
     rng = np.random.default_rng(stream)
     fading = rng.exponential(size=batch)
-    return fading, _field_powers(rng, batch, annulus, n_bar, cfg, interval)
+    return fading, _field_powers(rng, batch, n_bar, cfg, interval)
 
 
 def _ring_intervals(cfg: NetworkConfig) -> list[tuple[float, float]]:
@@ -375,7 +360,7 @@ def _ring_batches(
 
         def draw(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
             stream = (seed, _TAG_DISTANCE, k, batch_index)
-            return _draw(stream, batch, k, cfg.mean_devices, cfg, intervals[k])
+            return _draw(stream, batch, cfg.mean_devices, cfg, intervals[k])
 
         # Outer annuli hold more devices; starting them first evens the
         # threads' loads.
@@ -442,10 +427,11 @@ def _by_area(
 class _Point:
     """The running sums of one sweep point, fed batch by batch: the success
     sums in ``substitution`` mode, the finite-SIR sums in ``mean-sir`` mode,
-    and the noise-only sums when the noise-only success is per realization.
+    and, in ``substitution`` mode with a per-realization noise-only success,
+    the sums of its product with the joint success.
     """
 
-    __slots__ = ("joint_mode", "substitution", "scenario", "snr", "snr_sf")
+    __slots__ = ("joint_mode", "substitution", "scenario", "snr_sf")
 
     def __init__(self, spec: SweepSpec) -> None:
         self.joint_mode = spec.joint_mode
@@ -453,7 +439,7 @@ class _Point:
         # substitution: success of max_co, co, sf; mean-sir: finite SIRs of
         # max_co, co, inter
         self.scenario = [_MeanAcc() for _ in range(3)]
-        self.snr, self.snr_sf = _MeanAcc(), _MeanAcc()
+        self.snr_sf = _MeanAcc()
 
     def add(
         self,
@@ -472,24 +458,12 @@ class _Point:
             values = tuple(g[np.isfinite(g)] for g in sirs)
         for acc, v in zip(self.scenario, values):
             acc.add(v)
-        if s_snr is not None:
-            self.snr.add(s_snr)
-            if self.substitution:
-                self.snr_sf.add(s_snr * s_sf)
+        if s_snr is not None and self.substitution:
+            self.snr_sf.add(s_snr * s_sf)
 
-    def merge(self, other: _Point) -> None:
-        """Add the sums of ``other``, a point of the same spec."""
-        for acc, more in zip(
-            (*self.scenario, self.snr, self.snr_sf), (*other.scenario, other.snr, other.snr_sf)
-        ):
-            acc.merge(more)
-
-    def result(self, abscissa: float, p_snr: float | None = None) -> CurvePoint:
-        """The point's means and standard errors; ``p_snr`` is the
-        closed-form noise-only success, when there is one."""
-        se_snr = 0.0
-        if p_snr is None:
-            p_snr, se_snr = self.snr.mean, self.snr.stderr
+    def result(self, abscissa: float, p_snr: float, se_snr: float = 0.0) -> CurvePoint:
+        """The point's means and standard errors, with the noise-only
+        success ``p_snr`` and its standard error."""
         if self.substitution:
             p_max, p_co, p_sf = (acc.mean for acc in self.scenario)
             se_max, se_co, se_sf = (acc.stderr for acc in self.scenario)
@@ -583,36 +557,32 @@ def coverage_vs_density(
     is bit-identical across the grid.  Each row keeps its law, but a row
     depends on the grid points below it, and in substitution mode the
     interference columns never rise with the mean device count.
+
+    The batches run in order on the calling thread: ``threads`` must be at
+    least 1 and does not affect this sweep.
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     model = ChannelModel.from_config(cfg, path_loss_form)
     steps = np.diff(spec.grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
-
-    def unit(batch_key: tuple[int, int]) -> list[_Point]:
-        batch_index, batch = batch_key
+    points = [_Point(spec) for _ in spec.grid]
+    snr = _MeanAcc()
+    for batch_index, batch in _batches(spec.realizations_per_point):
         rng = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
         gain, annulus, s_snr = _by_area(rng.random(batch), cfg, model)
         s = gain * rng.exponential(size=batch)
+        snr.add(s_snr)
         strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
-        points = []
-        for i, step in enumerate(steps):
+        for i, (point, step) in enumerate(zip(points, steps)):
             stream = (spec.seed, _TAG_DENSITY_FIELD, i, batch_index)
-            added = _field_powers(np.random.default_rng(stream), batch, annulus, step, cfg)
+            added = _field_powers(np.random.default_rng(stream), batch, step, cfg, annulus=annulus)
             np.maximum(strongest, added[0], out=strongest)
             co_power += added[1]
             inter_power += added[2]
-            point = _Point(spec)
             point.add((strongest, co_power, inter_power), s, s_snr)
-            points.append(point)
-        return points
-
-    totals = [_Point(spec) for _ in spec.grid]
-    with _mapper(threads) as run:
-        for points in run(unit, _batches(spec.realizations_per_point)):
-            for total, point in zip(totals, points):
-                total.merge(point)
-    return [total.result(n_bar) for total, n_bar in zip(totals, spec.grid)]
+    return [point.result(n_bar, snr.mean, snr.stderr) for point, n_bar in zip(points, spec.grid)]
 
 
 def estimate_mean_sir(

@@ -209,6 +209,15 @@ def test_non_finite_flag_fails_naming_key(args, key, capsys):
     assert key in err
 
 
+def test_sweep_density_rejects_zero_threads(capsys):
+    code, out, err = run_cli(
+        ["sweep-density", "--realizations", "10", "--threads", "0"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "threads" in err
+
+
 def test_non_finite_config_value_fails_naming_key(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("cell_radius_km = inf\n", encoding="utf-8")

@@ -86,15 +86,18 @@ def test_kernel_matches_physical_unit_reference(monkeypatch, form, kind, n_bar, 
     s_norm, s_mw, annulus, ring = _desired(kind, cfg, model, np.random.default_rng(3), 4096)
     np.testing.assert_array_equal(annulus, ring)
 
-    # The whole cell, then each annulus's sub-field: the desired annulus's
-    # own (all co-SF) and the others (all inter-SF for a pinned device).
-    for interval in [(0.0, 1.0)] + montecarlo._ring_intervals(cfg):
+    # The whole cell with one desired annulus per realization, split by the
+    # ring test; then each annulus's sub-field, all co-SF, against the
+    # reference for a desired device in that annulus.
+    cases = [((0.0, 1.0), np.broadcast_to(annulus, (4096,)), ring)]
+    cases += [(interval, None, k) for k, interval in enumerate(montecarlo._ring_intervals(cfg))]
+    for interval, annuli, reference_ring in cases:
         powers = montecarlo._field_powers(
-            np.random.default_rng(11), 4096, annulus, n_bar, cfg, interval
+            np.random.default_rng(11), 4096, n_bar, cfg, interval, annuli
         )
         sirs = montecarlo._sirs(powers, s_norm)
         reference = _reference_field_sirs(
-            np.random.default_rng(11), s_mw, ring, n_bar, cfg, model, interval
+            np.random.default_rng(11), s_mw, reference_ring, n_bar, cfg, model, interval
         )
         if n_bar == 30.0:  # empty realizations are covered
             assert 0.5 < np.mean(powers[1] + powers[2] == 0.0) < 1.0, interval
@@ -125,7 +128,7 @@ def test_kernel_ring_start_belongs_to_outer_ring():
         cfg = NetworkConfig(cell_radius_km=r)
         for k in range(6):
             draws = _OneInterfererEach(RING_START_U)
-            powers = montecarlo._field_powers(draws, 6, k, 1.0, cfg)
+            powers = montecarlo._field_powers(draws, 6, 1.0, cfg, annulus=np.full(6, k))
             _, g_co, g_inter = montecarlo._sirs(powers, np.ones(6))
             same = np.arange(6) == k
             np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r} k={k}")
@@ -134,7 +137,7 @@ def test_kernel_ring_start_belongs_to_outer_ring():
         for shift, same in ((0, True), (1, False)):
             draws = _OneInterfererEach(RING_START_U)
             annulus = (np.arange(6) - shift) % 6
-            powers = montecarlo._field_powers(draws, 6, annulus, 1.0, cfg)
+            powers = montecarlo._field_powers(draws, 6, 1.0, cfg, annulus=annulus)
             _, g_co, g_inter = montecarlo._sirs(powers, np.ones(6))
             np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r}")
             np.testing.assert_array_equal(np.isfinite(g_inter), not same, err_msg=f"R={r}")

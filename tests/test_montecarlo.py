@@ -127,13 +127,26 @@ def test_density_determinism_across_thread_counts():
 
 
 def test_density_batch_merge_independent_of_thread_count():
-    """Two full batches and a partial one: the per-batch sums of each point
-    merge in batch order whatever the thread count."""
+    """Two full batches and a partial one: the density sweep adds each
+    batch's sums in batch order on the calling thread, so the thread count,
+    which it accepts and ignores, changes no value."""
     cfg = NetworkConfig()
     spec = _density_spec((0.0, 1.0, 30.0, 3000.0), n=2 * 4096 + 100, seed=42)
     single = coverage_vs_density(cfg, spec, threads=1)
     assert coverage_vs_density(cfg, spec, threads=2) == single
     assert coverage_vs_density(cfg, spec, threads=3) == single
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("kind", ["distance", "density"])
+def test_sweeps_reject_threads_below_one(kind, threads):
+    cfg = NetworkConfig()
+    if kind == "distance":
+        sweep, spec = success_vs_distance, _distance_spec((1.0,), n=10)
+    else:
+        sweep, spec = coverage_vs_density, _density_spec((1.0,), n=10)
+    with pytest.raises(ValueError, match="threads"):
+        sweep(cfg, spec, threads=threads)
 
 
 @pytest.mark.parametrize("chunk", [1, 97])
@@ -188,11 +201,13 @@ def test_kernel_memory_bounded_by_chunk():
     ring_5 = montecarlo._ring_intervals(cfg)[5]
     tracemalloc.start()
     try:
-        powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 3, 1e5, cfg)
+        powers = montecarlo._field_powers(
+            np.random.default_rng(0), 4096, 1e5, cfg, annulus=np.full(4096, 3)
+        )
         sirs = montecarlo._sirs(powers, s_desired)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        ring_powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 5, 1e5, cfg, ring_5)
+        ring_powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 1e5, cfg, ring_5)
         ring_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,7 +226,7 @@ def test_ring_inter_power_is_the_other_rings_sums_in_ring_order():
         batch = rings[0][0].size
         sub = [
             montecarlo._draw(
-                (9, montecarlo._TAG_DISTANCE, j, b), batch, j, cfg.mean_devices, cfg, intervals[j]
+                (9, montecarlo._TAG_DISTANCE, j, b), batch, cfg.mean_devices, cfg, intervals[j]
             )
             for j in range(6)
         ]

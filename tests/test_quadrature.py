@@ -37,7 +37,9 @@ uniform on the cell: the point mass ``(d_min/R)**2`` at ``v_d = (d_min/R)**2``,
 then 24 Gauss-Legendre nodes in each annulus.  The ring integral does not
 depend on ``n_bar``, so one array of it over the (v_d, x) nodes serves the
 whole grid.  Every point of a full-scale density sweep must lie within the
-same |z| <= 4.
+same |z| <= 4.  The density ``p_inter`` averages ``p_inter``'s head over the
+complement of each node's annulus the same way, and gates the per-realization
+inter-SF success on the sweep's own streams at the same |z| <= 4.
 """
 
 import math
@@ -48,6 +50,7 @@ from scipy import integrate, special
 
 from lora_reliability import montecarlo
 from lora_reliability.analytic import success_from_sir_array
+from lora_reliability.channel import ChannelModel
 from lora_reliability.geometry import annulus_to_sf
 from lora_reliability.montecarlo import (
     SweepSpec,
@@ -137,9 +140,10 @@ def _area_nodes(cfg, area_nodes=AREA_NODES):
     return np.array(v_d), np.array(weight), np.array(lo), np.array(hi)
 
 
-def _p_co_density_oracle(n_bars, cfg, area_nodes=AREA_NODES):
-    """``p_co`` of the density sweep at each mean device count in
-    ``n_bars``, vectorized over the (v_d, x) node grid."""
+def _density_oracle(n_bars, cfg, area_nodes, inter):
+    """The co-SF or, with ``inter``, the inter-SF success of the density
+    sweep at each mean device count in ``n_bars``, vectorized over the
+    (v_d, x) node grid."""
     a = 0.5 * cfg.path_loss_exponent
     v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
     v_d, weight, lo, hi = _area_nodes(cfg, area_nodes)
@@ -157,11 +161,21 @@ def _p_co_density_oracle(n_bars, cfg, area_nodes=AREA_NODES):
         return mass + np.where(y > v_min, head(np.maximum(y, v_min)) - head(v_min), 0.0)
 
     ring = clamped(hi) - clamped(lo)  # independent of n_bar
+    if inter:  # the complement of the desired annulus
+        ring = clamped(1.0) - ring
     outer = w * (2.0 + x) ** -1.5 / (1.0 - t) ** 2
     return [
         0.5 + float(weight @ (np.exp(-cfg.duty_cycle * n_bar * ring) @ outer))
         for n_bar in n_bars
     ]
+
+
+def _p_co_density_oracle(n_bars, cfg, area_nodes=AREA_NODES):
+    return _density_oracle(n_bars, cfg, area_nodes, inter=False)
+
+
+def _p_inter_density_oracle(n_bars, cfg, area_nodes=AREA_NODES):
+    return _density_oracle(n_bars, cfg, area_nodes, inter=True)
 
 
 def _p_co_nested_quad(d_km, cfg):
@@ -239,15 +253,28 @@ def test_desk_distance_sweep_p_co_within_z_of_oracle():
     assert abs(z[worst]) <= Z_MAX, f"z = {z[worst]:.2f} at {spec.grid[worst]} km"
 
 
+def _area_average(scalar_oracle, cfg, area_nodes):
+    v_d, weight, _, _ = _area_nodes(cfg, area_nodes)
+    return sum(
+        wt * scalar_oracle(cfg.cell_radius_km * math.sqrt(v), cfg) for v, wt in zip(v_d, weight)
+    )
+
+
 def test_density_oracle_matches_scalar_oracle():
     """The vectorized density oracle is the area average of the distance
     oracle's ``p_co`` at the same desired nodes."""
     cfg = NetworkConfig()
-    v_d, weight, _, _ = _area_nodes(cfg, 4)
-    scalar = sum(
-        wt * _p_co_oracle(cfg.cell_radius_km * math.sqrt(v), cfg) for v, wt in zip(v_d, weight)
-    )
+    scalar = _area_average(_p_co_oracle, cfg, 4)
     assert _p_co_density_oracle([cfg.mean_devices], cfg, 4)[0] == pytest.approx(scalar, abs=1e-12)
+
+
+def test_density_inter_oracle_matches_scalar_oracle():
+    """The same for ``p_inter``: the complement of each node's annulus."""
+    cfg = NetworkConfig()
+    scalar = _area_average(_p_inter_oracle, cfg, 4)
+    assert _p_inter_density_oracle([cfg.mean_devices], cfg, 4)[0] == pytest.approx(
+        scalar, abs=1e-12
+    )
 
 
 def test_density_oracle_converged_in_area_nodes():
@@ -311,3 +338,45 @@ def test_desk_distance_inter_sf_success_within_z_of_oracle():
         z.append((s.mean() - _p_inter_oracle(d_km, cfg)) / (s.std(ddof=1) / math.sqrt(s.size)))
     worst = int(np.argmax(np.abs(z)))
     assert abs(z[worst]) <= Z_MAX, f"z = {z[worst]:.2f} at {grid[worst]} km"
+
+
+def test_full_density_inter_sf_success_within_z_of_oracle():
+    """The inter-SF power the density split leaves outside each desired
+    annulus, through the per-realization success of the sweep's ``p_sf``
+    factor, at every point of the default grid.  The walk below replays the
+    sweep's streams; its co-SF success reproduces the sweep's ``p_co``
+    column exactly."""
+    cfg = NetworkConfig()
+    spec = SweepSpec(
+        kind="density",
+        grid=default_density_grid(),
+        realizations_per_point=100_000,
+        seed=11,
+    )
+    model = ChannelModel.from_config(cfg)
+    steps = np.diff(spec.grid, prepend=0.0)
+    co = [montecarlo._MeanAcc() for _ in spec.grid]
+    inter = [montecarlo._MeanAcc() for _ in spec.grid]
+    for b, batch in montecarlo._batches(spec.realizations_per_point):
+        rng = np.random.default_rng([spec.seed, montecarlo._TAG_DENSITY_DESIRED, b])
+        gain, annulus, _ = montecarlo._by_area(rng.random(batch), cfg, model)
+        s = gain * rng.exponential(size=batch)
+        strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
+        for i, step in enumerate(steps):
+            stream = (spec.seed, montecarlo._TAG_DENSITY_FIELD, i, b)
+            added = montecarlo._field_powers(
+                np.random.default_rng(stream), batch, step, cfg, annulus=annulus
+            )
+            np.maximum(strongest, added[0], out=strongest)
+            co_power += added[1]
+            inter_power += added[2]
+            _, g_co, g_inter = montecarlo._sirs((strongest, co_power, inter_power), s)
+            co[i].add(success_from_sir_array(g_co))
+            inter[i].add(success_from_sir_array(g_inter))
+    assert [acc.mean for acc in co] == [pt.probs.p_co for pt in coverage_vs_density(cfg, spec)]
+    z = []
+    for acc, p_inter in zip(inter, _p_inter_density_oracle(spec.grid, cfg)):
+        assert acc.stderr > 0.0
+        z.append((acc.mean - p_inter) / acc.stderr)
+    worst = int(np.argmax(np.abs(z)))
+    assert abs(z[worst]) <= Z_MAX, f"z = {z[worst]:.2f} at n_bar = {spec.grid[worst]}"
