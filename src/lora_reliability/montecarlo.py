@@ -42,7 +42,11 @@ device at uniform-by-area draw ``u`` enters with its clamped area fraction
 annulus is the one of the sub-field that drew it, or, in a whole-cell draw,
 is read off ``v`` against the squared ring starts ``_RING_U``.  The
 physical gain is computed only where noise needs it: the noise-only success
-``p_snr`` and, in the density sweep, its per-realization form.
+``p_snr`` and, in the density sweep, its per-realization form.  The point
+step never forms the SIRs of the substitution mode: a coherent-FSK success
+``1 - outage(g)`` depends on the SIR ``g = c * s / P`` only through
+``1 / (1 + 2/g) = s / (s + (2/c) * P)``, so it is computed straight from the
+desired signal ``s`` and the field power ``P`` (:func:`_successes`).
 
 The interference field is sampled in its thinned form: instead of drawing
 Poisson(mean_devices) candidates and keeping each with the duty-cycle
@@ -74,7 +78,6 @@ from .analytic import (
     combine_sf,
     outage_closed_form,
     success_from_sir,
-    success_from_sir_array,
 )
 from .channel import ChannelModel, path_loss, snr_success_probability
 from .geometry import OutOfCellError, annulus_to_sf
@@ -239,7 +242,8 @@ def _field_powers(
     """Sample one batch of active interference fields and return their
     normalized powers per realization: the strongest co-SF term, the co-SF
     sum and the inter-SF sum (0 where the interferer set is empty).  The
-    point step turns them into SIRs (:func:`_sirs`).
+    point step turns them into successes (:func:`_successes`), or into SIRs
+    in ``mean-sir`` mode (:func:`_sirs`).
 
     The field is a Poisson process of intensity ``duty * n_bar`` per unit
     of area fraction, restricted to the uniform-by-area draws ``u`` in
@@ -322,8 +326,18 @@ def _draw(
     """One batch from generator ``stream``: the desired fading, then the
     powers of one annulus's sub-field (see :func:`_field_powers`)."""
     rng = np.random.default_rng(stream)
-    fading = rng.exponential(size=batch)
+    fading = _desired_fading(rng, batch)
     return fading, _field_powers(rng, batch, n_bar, cfg, interval)
+
+
+def _desired_fading(rng: np.random.Generator, batch: int) -> np.ndarray:
+    """One batch of desired-device fading: exponential draws raised to at
+    least the smallest normal double.  A draw is exactly 0 with probability
+    about 2**-53; the clamp keeps every desired signal ``gain * fading``
+    positive, since every gain is at least 1, so :func:`_successes` never
+    divides 0 by 0."""
+    fading = rng.exponential(size=batch)
+    return np.maximum(fading, np.finfo(float).tiny, out=fading)
 
 
 def _ring_intervals(cfg: NetworkConfig) -> list[tuple[float, float]]:
@@ -391,6 +405,28 @@ def _sirs(
     )
 
 
+def _successes(
+    powers: tuple[np.ndarray, np.ndarray, np.ndarray], s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three substitution-mode successes ``1 - outage(SIR)`` of desired
+    signals ``s > 0`` against one batch of field powers (see
+    :func:`_field_powers`), as ``0.5 + 0.5 * sqrt(s / (s + k * P))``: with
+    the SIR ``g = c * s / P``, ``k = 2 / c``, and ``c`` is
+    ``CO_CHANNEL_REJECTION`` for the strongest term and 1 for the sums.  An
+    empty interferer set (``P = 0``) gives exactly 1, the success at
+    infinite SIR."""
+    out = []
+    for k, power in zip((2.0 / CO_CHANNEL_REJECTION, 2.0, 2.0), powers):
+        q = k * power
+        q += s
+        np.divide(s, q, out=q)
+        np.sqrt(q, out=q)
+        q *= 0.5
+        q += 0.5
+        out.append(q)
+    return tuple(out)
+
+
 def _joint_success(s_co: np.ndarray, s_inter: np.ndarray, mode: str) -> np.ndarray:
     if mode == "success-product":
         return s_co * s_inter
@@ -449,13 +485,12 @@ class _Point:
     ) -> None:
         """One batch: field powers, desired signals ``s`` in normalized
         units, and the per-realization noise-only success, if any."""
-        sirs = _sirs(powers, s)
         if self.substitution:
-            s_max, s_co, s_inter = (success_from_sir_array(g) for g in sirs)
+            s_max, s_co, s_inter = _successes(powers, s)
             s_sf = _joint_success(s_co, s_inter, self.joint_mode)
             values = (s_max, s_co, s_sf)
         else:
-            values = tuple(g[np.isfinite(g)] for g in sirs)
+            values = tuple(g[np.isfinite(g)] for g in _sirs(powers, s))
         for acc, v in zip(self.scenario, values):
             acc.add(v)
         if s_snr is not None and self.substitution:
@@ -572,7 +607,7 @@ def coverage_vs_density(
     for batch_index, batch in _batches(spec.realizations_per_point):
         rng = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
         gain, annulus, s_snr = _by_area(rng.random(batch), cfg, model)
-        s = gain * rng.exponential(size=batch)
+        s = gain * _desired_fading(rng, batch)
         snr.add(s_snr)
         strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
         for i, (point, step) in enumerate(zip(points, steps)):

@@ -1,6 +1,7 @@
 """The interference kernel ``montecarlo._field_powers``, with the point step's
 divisions ``montecarlo._sirs``, against the physical-unit arithmetic it
-replaced, and its ring rule at the ring starts.
+replaced, and its ring rule at the ring starts; and the point step's success
+transform ``montecarlo._successes`` against the SIR path it replaced.
 
 The kernel works in normalized units: an interferer at area fraction
 ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading``.  The
@@ -14,8 +15,10 @@ was fixed before the first comparison.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lora_reliability import montecarlo
+from lora_reliability.analytic import success_from_sir_array
 from lora_reliability.channel import PATH_LOSS_FORMS, ChannelModel, path_loss, path_loss_array
 from lora_reliability.geometry import annulus_to_sf
 from lora_reliability.params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, dbm_to_mw
@@ -166,3 +169,58 @@ def test_ring_intervals_partition_the_clamped_cell(d_min_km):
     assert all(hi == lo for (_, hi), (lo, _) in zip(tiles, tiles[1:]))
     for k, (lo, hi) in enumerate(tiles, start=first):
         assert RING_START_U[k] <= max(lo, v_min) < hi <= min(((k + 1) / 6) ** 2, 1.0)
+
+
+TINY = np.finfo(float).tiny
+
+
+def test_successes_without_interferers_or_desired_signal():
+    zeros = np.zeros(3)
+    for success in montecarlo._successes((zeros, zeros, zeros), np.array([TINY, 1.0, 1e11])):
+        assert success.tolist() == [1.0, 1.0, 1.0]
+    ones = np.ones(1)
+    for success in montecarlo._successes((ones, ones, ones), np.array([TINY])):
+        assert success.tolist() == [0.5]
+
+
+def test_desired_fading_floor_is_the_smallest_normal_double():
+    class ZeroDraws:
+        def exponential(self, size):
+            return np.array([0.0, 5e-324, 1.0])[:size]
+
+    assert montecarlo._desired_fading(ZeroDraws(), 3).tolist() == [TINY, TINY, 1.0]
+
+
+def test_successes_match_the_sir_path():
+    # Signal-to-power ratios from 1e-12 to 1e12, and a tenth empty sets.
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    s = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    powers = []
+    for _ in range(3):
+        power = s * 10.0 ** rng.uniform(-12.0, 12.0, n)
+        power[rng.random(n) < 0.1] = 0.0
+        powers.append(power)
+    sir_path = [success_from_sir_array(g) for g in montecarlo._sirs(powers, s)]
+    for new, old in zip(montecarlo._successes(powers, s), sir_path):
+        assert np.max(np.abs(new - old)) <= 4.5e-16
+
+
+POWERS = st.floats(min_value=0.0, max_value=1e300)
+
+
+@given(
+    st.floats(min_value=TINY, max_value=1e300),
+    POWERS,
+    POWERS,
+    POWERS,
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_successes_keep_the_scenario_order(s, power_a, power_b, inter_power, s_snr):
+    # The rounded 0.5 * strongest is at most the rounded 2 * co_power, and add,
+    # divide and sqrt round monotonically, so the order holds exactly in floats.
+    strongest, co_power = sorted((power_a, power_b))
+    powers = tuple(np.array([p]) for p in (strongest, co_power, inter_power))
+    s_max, s_co, s_inter = montecarlo._successes(powers, np.array([s]))
+    s_sf = s_co * s_inter
+    assert s_max >= s_co >= s_sf >= np.array([s_snr]) * s_sf

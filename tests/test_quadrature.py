@@ -360,7 +360,7 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
     for b, batch in montecarlo._batches(spec.realizations_per_point):
         rng = np.random.default_rng([spec.seed, montecarlo._TAG_DENSITY_DESIRED, b])
         gain, annulus, _ = montecarlo._by_area(rng.random(batch), cfg, model)
-        s = gain * rng.exponential(size=batch)
+        s = gain * montecarlo._desired_fading(rng, batch)
         strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
         for i, step in enumerate(steps):
             stream = (spec.seed, montecarlo._TAG_DENSITY_FIELD, i, b)
@@ -370,9 +370,9 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
             np.maximum(strongest, added[0], out=strongest)
             co_power += added[1]
             inter_power += added[2]
-            _, g_co, g_inter = montecarlo._sirs((strongest, co_power, inter_power), s)
-            co[i].add(success_from_sir_array(g_co))
-            inter[i].add(success_from_sir_array(g_inter))
+            _, s_co, s_inter = montecarlo._successes((strongest, co_power, inter_power), s)
+            co[i].add(s_co)
+            inter[i].add(s_inter)
     assert [acc.mean for acc in co] == [pt.probs.p_co for pt in coverage_vs_density(cfg, spec)]
     z = []
     for acc, p_inter in zip(inter, _p_inter_density_oracle(spec.grid, cfg)):
