@@ -9,7 +9,8 @@ Produces:
 
 Both default to 10^5 realizations per point (use --desk for a fast 10^4 run).
 Each file is what ``lora-reliability sweep-distance`` / ``sweep-density``
-writes for the same seed, realization count and threads, byte for byte.
+writes for the same seed and realization count, byte for byte.  --threads
+goes to ``sweep-distance`` only; the density sweep runs on one thread.
 Plot with any CSV tool; columns are documented in the README.
 """
 
@@ -45,16 +46,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for command, name in SWEEPS:
         path = out_dir / name
+        cmd = [command, "--seed", str(args.seed), "--realizations", str(n), "--out", str(path)]
+        if command == "sweep-distance":
+            cmd += ["--threads", str(args.threads)]
         start = time.perf_counter()
-        code = cli.main(
-            [
-                command,
-                "--seed", str(args.seed),
-                "--realizations", str(n),
-                "--threads", str(args.threads),
-                "--out", str(path),
-            ]
-        )
+        code = cli.main(cmd)
         if code != 0:
             return code
         print(f"wrote {path} ({time.perf_counter() - start:.1f}s)")

@@ -4,10 +4,8 @@ sweep engine over a Poisson deployment."""
 
 from .analytic import (
     JOINT_MODES,
-    SIR_MODES,
     QuadratureError,
     ScenarioProbabilities,
-    combine_sf,
     outage_closed_form,
     outage_numeric_oracle,
     q_bound,

@@ -1,6 +1,8 @@
-"""Closed-form error model: Gaussian tail, its Chernoff bound, the outage
-probability of a coherent-FSK link with exponentially distributed SIR, and
-the rules that combine per-scenario probabilities.
+"""Closed-form error model: Gaussian tail, its Chernoff bound, and the
+outage probability of a coherent-FSK link with exponentially distributed
+SIR, with the per-scenario result container and the names of the rules that
+join the same-SF and different-SF successes (:data:`JOINT_MODES`; the
+Monte Carlo point step applies them per realization).
 
 A quadrature routine integrates the error rate against the exponential SIR
 density directly and serves as an independent cross-check of the closed
@@ -16,7 +18,6 @@ import numpy as np
 from scipy import integrate, special
 
 JOINT_MODES = ("success-product", "outage-product")
-SIR_MODES = ("substitution", "mean-sir")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -132,22 +133,3 @@ def outage_numeric_oracle(
         )
     return value
 
-
-def combine_sf(
-    p_co_outage: float, p_inter_outage: float, mode: str = "success-product"
-) -> float:
-    """Joint success under same-SF plus different-SF interference.
-
-    ``success-product`` (default) multiplies the two success probabilities,
-    treating the scenarios as independent filters; ``outage-product``
-    multiplies the outages instead (1 - o_co * o_inter), which makes the
-    joint curve lie above each component and is kept only for comparison.
-    """
-    for name, value in (("p_co_outage", p_co_outage), ("p_inter_outage", p_inter_outage)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    if mode == "success-product":
-        return (1.0 - p_co_outage) * (1.0 - p_inter_outage)
-    if mode == "outage-product":
-        return 1.0 - p_co_outage * p_inter_outage
-    raise ValueError(f"mode must be one of {JOINT_MODES}, got {mode!r}")

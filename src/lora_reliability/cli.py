@@ -108,7 +108,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         realizations_per_point=_resolve_realizations(args, cfg, file_values),
         seed=cfg.seed,
         joint_mode=args.joint_mode,
-        sir_mode=args.sir_mode,
     )
     points = sweep(cfg, spec, path_loss_form=args.path_loss_form, threads=args.threads)
     _emit(curve_to_csv(points, abscissa_name), args.out)
@@ -282,15 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--joint-mode", choices=analytic.JOINT_MODES, default="success-product"
     )
-    sweep.add_argument("--sir-mode", choices=analytic.SIR_MODES, default="substitution")
-    sweep.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads of sweep-distance; sweep-density runs on one "
-        "(never changes output bytes)",
-    )
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -299,6 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-distance",
         parents=[sweep],
         help="success probability vs distance from the gateway (CSV)",
+    )
+    p_dist.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker threads (never changes output bytes)",
     )
     p_dist.set_defaults(func=_cmd_sweep, kind="distance")
 
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.add_argument(
         "--n-bar-max", type=float, default=3000.0, help="largest mean device count"
     )
-    p_dens.set_defaults(func=_cmd_sweep, kind="density")
+    p_dens.set_defaults(func=_cmd_sweep, kind="density", threads=1)
 
     p_cf = sub.add_parser(
         "closed-form",

@@ -20,8 +20,8 @@ cell.  Its fields are nested: a Poisson process at ``n_bar_i`` is the one at
 ``n_bar_{i-1}`` plus an independent increment, so grid point i draws only
 that increment, from ``(seed, _TAG_DENSITY_FIELD, i, batch)``, and adds it
 to the field of the point below it.  A density row therefore depends on the
-grid points below it, and its substitution-mode interference columns never
-rise with ``n_bar``.
+grid points below it, and its interference columns never rise with
+``n_bar``.
 
 The interference kernel :func:`_field_powers` works on chunks of whole
 realizations with about ``_CHUNK`` active interferers each, so its memory
@@ -42,11 +42,13 @@ device at uniform-by-area draw ``u`` enters with its clamped area fraction
 annulus is the one of the sub-field that drew it, or, in a whole-cell draw,
 is read off ``v`` against the squared ring starts ``_RING_U``.  The
 physical gain is computed only where noise needs it: the noise-only success
-``p_snr`` and, in the density sweep, its per-realization form.  The point
-step never forms the SIRs of the substitution mode: a coherent-FSK success
-``1 - outage(g)`` depends on the SIR ``g = c * s / P`` only through
-``1 / (1 + 2/g) = s / (s + (2/c) * P)``, so it is computed straight from the
-desired signal ``s`` and the field power ``P`` (:func:`_successes`).
+``p_snr`` and, in the density sweep, its per-realization form.  Each
+realization's instantaneous SIR is substituted into the coherent-FSK outage
+closed form and the successes are averaged, but the point step never forms
+the SIR: a success ``1 - outage(g)`` depends on the SIR ``g = c * s / P``
+only through ``1 / (1 + 2/g) = s / (s + (2/c) * P)``, so it is computed
+straight from the desired signal ``s`` and the field power ``P``
+(:func:`_successes`).
 
 The interference field is sampled in its thinned form: instead of drawing
 Poisson(mean_devices) candidates and keeping each with the duty-cycle
@@ -71,14 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    JOINT_MODES,
-    SIR_MODES,
-    ScenarioProbabilities,
-    combine_sf,
-    outage_closed_form,
-    success_from_sir,
-)
+from .analytic import JOINT_MODES, ScenarioProbabilities
 from .channel import ChannelModel, path_loss, snr_success_probability
 from .geometry import OutOfCellError, annulus_to_sf
 from .params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, db_to_linear, dbm_to_mw, sf_table
@@ -114,14 +109,13 @@ _RING_U.flags.writeable = False
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep: the abscissa grid, per-point realization count, seed,
-    and the combination modes."""
+    and the rule that joins the same-SF and different-SF successes."""
 
     kind: str  # "distance" | "density"
     grid: tuple[float, ...]
     realizations_per_point: int
     seed: int
     joint_mode: str = "success-product"
-    sir_mode: str = "substitution"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
@@ -146,8 +140,6 @@ class SweepSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.joint_mode not in JOINT_MODES:
             raise ValueError(f"joint_mode must be one of {JOINT_MODES}, got {self.joint_mode!r}")
-        if self.sir_mode not in SIR_MODES:
-            raise ValueError(f"sir_mode must be one of {SIR_MODES}, got {self.sir_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -161,17 +153,17 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SirStats:
-    """Summary of one scenario's SIR draws at a fixed desired distance: the
-    draws the ``mean-sir`` mode averages in the row of that distance of any
-    distance sweep with the same seed and realization count.
+    """Summary of one scenario's SIR draws at a fixed desired distance, from
+    the same draws as the row of that distance of any distance sweep with
+    the same seed and realization count.
 
-    The scenario SIR is a ratio of fading mixtures and is heavy-tailed; its
-    sample mean can be unstable (for a single co-SF interferer it is a ratio
-    of exponentials, whose mean diverges), so the median and the fraction of
-    infinite draws are reported alongside.
+    The scenario SIR is a ratio of fading mixtures and is heavy-tailed: its
+    moments are dominated by the nearest interferer (for a single co-SF
+    interferer the SIR is a ratio of exponentials, whose mean diverges), so
+    only the median and the fraction of infinite draws, an empty interferer
+    set, are reported.
     """
 
-    mean: float  # mean of the finite draws; inf when every draw is inf
     median: float  # median over all draws, infinities included
     inf_fraction: float
     count: int
@@ -196,8 +188,7 @@ def default_density_grid(
 
 
 class _MeanAcc:
-    """Running mean/standard-error accumulator, fed in batch order.  The
-    mean of no values is inf: the mean-SIR of draws that are all inf."""
+    """Running mean/standard-error accumulator, fed in batch order."""
 
     __slots__ = ("count", "total", "total_sq")
 
@@ -213,7 +204,7 @@ class _MeanAcc:
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else math.inf
+        return self.total / self.count
 
     @property
     def stderr(self) -> float:
@@ -242,8 +233,7 @@ def _field_powers(
     """Sample one batch of active interference fields and return their
     normalized powers per realization: the strongest co-SF term, the co-SF
     sum and the inter-SF sum (0 where the interferer set is empty).  The
-    point step turns them into successes (:func:`_successes`), or into SIRs
-    in ``mean-sir`` mode (:func:`_sirs`).
+    point step turns them into successes (:func:`_successes`).
 
     The field is a Poisson process of intensity ``duty * n_bar`` per unit
     of area fraction, restricted to the uniform-by-area draws ``u`` in
@@ -408,7 +398,7 @@ def _sirs(
 def _successes(
     powers: tuple[np.ndarray, np.ndarray, np.ndarray], s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three substitution-mode successes ``1 - outage(SIR)`` of desired
+    """The three scenario successes ``1 - outage(SIR)`` of desired
     signals ``s > 0`` against one batch of field powers (see
     :func:`_field_powers`), as ``0.5 + 0.5 * sqrt(s / (s + k * P))``: with
     the SIR ``g = c * s / P``, ``k = 2 / c``, and ``c`` is
@@ -428,6 +418,11 @@ def _successes(
 
 
 def _joint_success(s_co: np.ndarray, s_inter: np.ndarray, mode: str) -> np.ndarray:
+    """Joint success under same-SF plus different-SF interference, per
+    realization.  ``success-product`` multiplies the two successes, treating
+    the scenarios as independent filters; ``outage-product`` multiplies the
+    outages instead, which puts the joint above each factor and is kept only
+    for comparison.  :class:`SweepSpec` validates ``mode``."""
     if mode == "success-product":
         return s_co * s_inter
     return 1.0 - (1.0 - s_co) * (1.0 - s_inter)
@@ -462,18 +457,14 @@ def _by_area(
 
 class _Point:
     """The running sums of one sweep point, fed batch by batch: the success
-    sums in ``substitution`` mode, the finite-SIR sums in ``mean-sir`` mode,
-    and, in ``substitution`` mode with a per-realization noise-only success,
-    the sums of its product with the joint success.
+    sums of max_co, co and sf and, with a per-realization noise-only
+    success, the sums of its product with the joint success.
     """
 
-    __slots__ = ("joint_mode", "substitution", "scenario", "snr_sf")
+    __slots__ = ("joint_mode", "scenario", "snr_sf")
 
     def __init__(self, spec: SweepSpec) -> None:
         self.joint_mode = spec.joint_mode
-        self.substitution = spec.sir_mode == "substitution"
-        # substitution: success of max_co, co, sf; mean-sir: finite SIRs of
-        # max_co, co, inter
         self.scenario = [_MeanAcc() for _ in range(3)]
         self.snr_sf = _MeanAcc()
 
@@ -485,32 +476,20 @@ class _Point:
     ) -> None:
         """One batch: field powers, desired signals ``s`` in normalized
         units, and the per-realization noise-only success, if any."""
-        if self.substitution:
-            s_max, s_co, s_inter = _successes(powers, s)
-            s_sf = _joint_success(s_co, s_inter, self.joint_mode)
-            values = (s_max, s_co, s_sf)
-        else:
-            values = tuple(g[np.isfinite(g)] for g in _sirs(powers, s))
-        for acc, v in zip(self.scenario, values):
+        s_max, s_co, s_inter = _successes(powers, s)
+        s_sf = _joint_success(s_co, s_inter, self.joint_mode)
+        for acc, v in zip(self.scenario, (s_max, s_co, s_sf)):
             acc.add(v)
-        if s_snr is not None and self.substitution:
+        if s_snr is not None:
             self.snr_sf.add(s_snr * s_sf)
 
     def result(self, abscissa: float, p_snr: float, se_snr: float = 0.0) -> CurvePoint:
         """The point's means and standard errors, with the noise-only
         success ``p_snr`` and its standard error."""
-        if self.substitution:
-            p_max, p_co, p_sf = (acc.mean for acc in self.scenario)
-            se_max, se_co, se_sf = (acc.stderr for acc in self.scenario)
-        else:
-            mean_max, mean_co, mean_inter = (acc.mean for acc in self.scenario)
-            p_max, p_co = success_from_sir(mean_max), success_from_sir(mean_co)
-            p_sf = combine_sf(
-                outage_closed_form(mean_co), outage_closed_form(mean_inter), self.joint_mode
-            )
-            se_max = se_co = se_sf = 0.0
-        # A random desired position couples noise and interference, so the
-        # substitution mode averages their per-realization product there.
+        p_max, p_co, p_sf = (acc.mean for acc in self.scenario)
+        se_max, se_co, se_sf = (acc.stderr for acc in self.scenario)
+        # A random desired position couples noise and interference, so their
+        # per-realization product is averaged there.
         if self.snr_sf.count:
             p_snr_sf, se_snr_sf = self.snr_sf.mean, self.snr_sf.stderr
         else:
@@ -590,11 +569,12 @@ def coverage_vs_density(
     once per batch, from generator ``(seed, _TAG_DENSITY_DESIRED, batch)``,
     and every point reads them, which is why the noise-only column ``p_snr``
     is bit-identical across the grid.  Each row keeps its law, but a row
-    depends on the grid points below it, and in substitution mode the
-    interference columns never rise with the mean device count.
+    depends on the grid points below it, and the interference columns never
+    rise with the mean device count.
 
-    The batches run in order on the calling thread: ``threads`` must be at
-    least 1 and does not affect this sweep.
+    The batches run in order on the calling thread.  ``threads`` must be at
+    least 1 and changes nothing; it is accepted so that both sweeps take the
+    same keywords.
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
@@ -626,28 +606,28 @@ def estimate_mean_sir(
     n: int,
     seed: int,
 ) -> dict[str, SirStats]:
-    """Statistics of the per-scenario SIR draws that the ``mean-sir`` mode
-    averages.  For the same seed and realization count these are the draws
-    of the ``d_km`` row of any distance sweep whose grid holds ``d_km``: it
-    reads the same six annulus sub-fields (:func:`_ring_batches`).  So, for
-    instance, ``success_from_sir(stats["co"].mean)`` is that row's ``p_co``
-    with either path-loss form.  Keys: ``max_co``, ``co``, ``inter``."""
+    """Median and fraction of infinite draws of the per-scenario SIRs of a
+    desired device pinned at ``d_km``.  For the same seed and realization
+    count these are the draws behind the ``d_km`` row of any distance sweep
+    whose grid holds ``d_km``: it reads the same six annulus sub-fields
+    (:func:`_ring_batches`), so ``stats["co"].inf_fraction`` is the share of
+    that row's realizations with no active same-SF interferer.  No mean is
+    reported: it does not settle as ``n`` grows (see :class:`SirStats`).
+    Keys: ``max_co``, ``co``, ``inter``."""
     if n < 1:
         raise ValueError(f"need n >= 1 realizations, got {n}")
     gain, ring = _pinned(cfg, d_km)
-    finite = [_MeanAcc() for _ in range(3)]
     kept: list[list[np.ndarray]] = [[], [], []]
     for rings in _ring_batches(cfg, n, seed):
         fading, powers = rings[ring]
-        for acc, arrays, gammas in zip(finite, kept, _sirs(powers, gain * fading)):
-            acc.add(gammas[np.isfinite(gammas)])
+        for arrays, gammas in zip(kept, _sirs(powers, gain * fading)):
             arrays.append(gammas)
-    return {
-        key: SirStats(
-            mean=acc.mean,
-            median=float(np.median(np.concatenate(arrays))),
-            inf_fraction=(n - acc.count) / n,
+    stats = {}
+    for key, arrays in zip(("max_co", "co", "inter"), kept):
+        gammas = np.concatenate(arrays)
+        stats[key] = SirStats(
+            median=float(np.median(gammas)),
+            inf_fraction=np.count_nonzero(np.isinf(gammas)) / n,
             count=n,
         )
-        for key, acc, arrays in zip(("max_co", "co", "inter"), finite, kept)
-    }
+    return stats

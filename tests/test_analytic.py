@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from lora_reliability.analytic import (
     QuadratureError,
     ScenarioProbabilities,
-    combine_sf,
     outage_closed_form,
     outage_numeric_oracle,
     q_bound,
@@ -16,6 +15,7 @@ from lora_reliability.analytic import (
     success_from_sir,
     success_from_sir_array,
 )
+from lora_reliability.montecarlo import _joint_success
 
 GAMMA_GRID = (0.01, 0.1, 1.0, 2.0, 10.0, 100.0, 1e4)
 
@@ -158,37 +158,32 @@ def test_success_dominance_under_4x(gamma):
     assert success_from_sir(4.0 * gamma) >= success_from_sir(gamma)
 
 
-def test_combine_sf_success_product():
-    assert combine_sf(0.0, 0.0) == 1.0
-    assert combine_sf(0.2, 0.3) == pytest.approx(0.56, rel=1e-12)
+def _joint(s_co, s_inter, mode="success-product"):
+    return float(_joint_success(np.array([s_co]), np.array([s_inter]), mode)[0])
 
 
-def test_combine_sf_outage_product():
-    assert combine_sf(0.0, 0.0, mode="outage-product") == 1.0
-    assert combine_sf(0.2, 0.3, mode="outage-product") == pytest.approx(0.94, rel=1e-12)
+def test_joint_success_product_values():
+    assert _joint(1.0, 1.0) == 1.0
+    assert _joint(0.8, 0.7) == pytest.approx(0.56, rel=1e-12)
 
 
-def test_combine_sf_validates():
-    with pytest.raises(ValueError):
-        combine_sf(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        combine_sf(0.5, 1.1)
-    with pytest.raises(ValueError):
-        combine_sf(0.1, 0.1, mode="mean")
+def test_joint_outage_product_values():
+    assert _joint(1.0, 1.0, "outage-product") == 1.0
+    assert _joint(0.8, 0.7, "outage-product") == pytest.approx(0.94, rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
-def test_combine_sf_success_product_below_factors(o_co, o_inter):
-    joint = combine_sf(o_co, o_inter)
-    assert joint <= 1.0 - o_co or math.isclose(joint, 1.0 - o_co)
-    assert joint <= 1.0 - o_inter or math.isclose(joint, 1.0 - o_inter)
+def test_joint_success_product_below_factors(s_co, s_inter):
+    joint = _joint(s_co, s_inter)
+    assert joint <= s_co or math.isclose(joint, s_co)
+    assert joint <= s_inter or math.isclose(joint, s_inter)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
-def test_combine_sf_outage_product_above_factors(o_co, o_inter):
-    joint = combine_sf(o_co, o_inter, mode="outage-product")
-    assert joint >= 1.0 - o_co - 1e-15
-    assert joint >= 1.0 - o_inter - 1e-15
+def test_joint_outage_product_above_factors(s_co, s_inter):
+    joint = _joint(s_co, s_inter, "outage-product")
+    assert joint >= s_co - 1e-15
+    assert joint >= s_inter - 1e-15
 
 
 def test_scenario_probabilities_validation():

@@ -88,7 +88,7 @@ def test_sweep_distance_deterministic_reruns(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("command", ["sweep-distance", "sweep-density"])
+@pytest.mark.parametrize("command", ["sweep-distance"])
 def test_sweep_thread_count_does_not_change_bytes(command, capsys):
     base = [command, "--seed", "42", "--realizations", "300"]
     _, single, _ = run_cli(base + ["--threads", "1"], capsys)
@@ -209,13 +209,14 @@ def test_non_finite_flag_fails_naming_key(args, key, capsys):
     assert key in err
 
 
-def test_sweep_density_rejects_zero_threads(capsys):
+def test_sweep_density_rejects_threads_flag(capsys):
+    """The density sweep runs on one thread, so it takes no --threads."""
     code, out, err = run_cli(
-        ["sweep-density", "--realizations", "10", "--threads", "0"], capsys
+        ["sweep-density", "--realizations", "10", "--threads", "2"], capsys
     )
     assert code == 2
     assert out == ""
-    assert "threads" in err
+    assert "--threads" in err
 
 
 def test_non_finite_config_value_fails_naming_key(tmp_path, capsys):
@@ -269,11 +270,14 @@ def test_joint_mode_flag_changes_output(capsys):
     assert default_out != literal_out
 
 
-def test_sir_mode_flag_changes_output(capsys):
-    base = ["sweep-distance", "--seed", "4", "--realizations", "200"]
-    _, default_out, _ = run_cli(base, capsys)
-    _, mean_out, _ = run_cli(base + ["--sir-mode", "mean-sir"], capsys)
-    assert default_out != mean_out
+def test_sir_mode_flag_is_rejected(capsys):
+    """A mean of SIR draws has no stable value, so no sweep offers one."""
+    code, out, err = run_cli(
+        ["sweep-distance", "--realizations", "10", "--sir-mode", "mean-sir"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--sir-mode" in err
 
 
 def test_path_loss_form_flag_changes_output(capsys):
@@ -288,13 +292,14 @@ def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("reproduce_paper_sweeps", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    flags = ["--seed", "3", "--realizations", "64", "--threads", "2"]
-    assert module.main(flags + ["--out-dir", str(tmp_path / "script")]) == 0
+    flags = ["--seed", "3", "--realizations", "64"]
+    threads = ["--threads", "2"]
+    assert module.main(flags + threads + ["--out-dir", str(tmp_path / "script")]) == 0
     capsys.readouterr()  # the script's progress lines
-    for command, name in (
-        ("sweep-distance", "success_vs_distance.csv"),
-        ("sweep-density", "coverage_vs_density.csv"),
+    for command, name, extra in (
+        ("sweep-distance", "success_vs_distance.csv", threads),
+        ("sweep-density", "coverage_vs_density.csv", []),
     ):
-        code, out, _ = run_cli([command] + flags, capsys)
+        code, out, _ = run_cli([command] + flags + extra, capsys)
         assert code == 0
         assert (tmp_path / "script" / name).read_bytes() == out.encode()

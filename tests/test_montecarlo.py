@@ -17,14 +17,8 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.analytic import (
-    JOINT_MODES,
-    SIR_MODES,
-    combine_sf,
-    outage_closed_form,
-    success_from_sir,
-)
-from lora_reliability.params import NetworkConfig
+from lora_reliability.analytic import JOINT_MODES, success_from_sir
+from lora_reliability.params import SF_MIN, NetworkConfig
 
 
 def _distance_spec(grid, n=2000, seed=7, **kw):
@@ -50,8 +44,6 @@ def test_spec_validation():
         SweepSpec(kind="distance", grid=(1.0,), realizations_per_point=10, seed=-1)
     with pytest.raises(ValueError):
         SweepSpec(kind="distance", grid=(1.0,), realizations_per_point=10, seed=0, joint_mode="sum")
-    with pytest.raises(ValueError):
-        SweepSpec(kind="distance", grid=(1.0,), realizations_per_point=10, seed=0, sir_mode="mode")
     for grid in ((math.nan,), (1.0, math.inf), (0.0, math.nan, 2.0)):
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(kind="density", grid=grid, realizations_per_point=10, seed=0)
@@ -170,17 +162,16 @@ def test_output_independent_of_chunk_size(monkeypatch, chunk):
     assert csvs() == default
 
 
-@pytest.mark.parametrize("sir_mode", SIR_MODES)
 @pytest.mark.parametrize("kind", ["distance", "density"])
-def test_interference_columns_independent_of_path_loss_form(kind, sir_mode):
+def test_interference_columns_independent_of_path_loss_form(kind):
     """Every SIR is a ratio of received powers, so the path-loss form, which
     scales them all by one constant, moves only the noise columns."""
     cfg = NetworkConfig()
     if kind == "distance":
-        spec = _distance_spec(default_distance_grid(cfg, 12), n=5000, seed=42, sir_mode=sir_mode)
+        spec = _distance_spec(default_distance_grid(cfg, 12), n=5000, seed=42)
         sweep = success_vs_distance
     else:
-        spec = _density_spec((0.0,) + default_density_grid(3000.0, 6), seed=42, sir_mode=sir_mode)
+        spec = _density_spec((0.0,) + default_density_grid(3000.0, 6), seed=42)
         sweep = coverage_vs_density
 
     def interference_columns(form):
@@ -322,8 +313,8 @@ def test_density_zero_point_certain():
 def test_density_substitution_columns_never_rise(joint_mode, seed):
     """The density fields are nested: each grid point adds its increment to
     the field of the point below it.  Every floating-point step from field
-    powers to a column's mean is monotone, so in substitution mode the
-    interference columns never rise with n_bar, with no tolerance."""
+    powers to a column's mean is monotone, so the interference columns
+    never rise with n_bar, with no tolerance."""
     cfg = NetworkConfig()
     grid = (0.0,) + default_density_grid(3000.0, 30)
     points = coverage_vs_density(cfg, _density_spec(grid, seed=seed, joint_mode=joint_mode))
@@ -344,39 +335,6 @@ def test_density_trend():
         assert gap > spread
 
 
-def test_mean_sir_mode_runs():
-    cfg = NetworkConfig()
-    points = success_vs_distance(
-        cfg, _distance_spec((2.0, 8.0), n=2000, sir_mode="mean-sir")
-    )
-    for pt in points:
-        p = pt.probs
-        for v in (p.p_snr, p.p_max_co, p.p_co, p.p_sf, p.p_snr_sf):
-            assert 0.0 <= v <= 1.0
-        # a single closed-form application has no per-realization spread
-        assert pt.stderr.p_co == 0.0
-        assert pt.stderr.p_sf == 0.0
-
-
-def test_mean_sir_mode_density_sweep():
-    cfg = NetworkConfig()
-    points = coverage_vs_density(
-        cfg, _density_spec((10.0, 1000.0), n=500, sir_mode="mean-sir")
-    )
-    for pt in points:
-        assert 0.0 <= pt.probs.p_sf <= 1.0
-        assert pt.stderr.p_co == 0.0
-        assert pt.stderr.p_snr > 0.0  # the noise column is still Monte Carlo
-    assert points[0].probs.p_snr == points[1].probs.p_snr
-
-
-def test_mean_sir_mode_without_interferers():
-    cfg = NetworkConfig(mean_devices=0.0)
-    pt = success_vs_distance(cfg, _distance_spec((5.0,), n=200, sir_mode="mean-sir"))[0]
-    assert pt.probs.p_max_co == 1.0
-    assert pt.probs.p_sf == 1.0
-
-
 def test_outage_product_mode_lies_above_components():
     cfg = NetworkConfig()
     spec_sp = _distance_spec((8.0,), n=2000)
@@ -393,7 +351,6 @@ def test_estimate_mean_sir_no_interferers():
     cfg = NetworkConfig(mean_devices=0.0)
     stats = estimate_mean_sir(cfg, 5.0, 50, seed=1)
     for key in ("max_co", "co", "inter"):
-        assert stats[key].mean == math.inf
         assert stats[key].median == math.inf
         assert stats[key].inf_fraction == 1.0
         assert stats[key].count == 50
@@ -404,30 +361,34 @@ def test_estimate_mean_sir_busy_network():
     stats = estimate_mean_sir(cfg, 5.0, 300, seed=2)
     inter = stats["inter"]
     assert inter.inf_fraction < 0.05
-    assert math.isfinite(inter.mean)
     assert math.isfinite(inter.median)
-    assert inter.median <= inter.mean  # heavy right tail
     with pytest.raises(ValueError):
         estimate_mean_sir(cfg, 5.0, 0, seed=2)
 
 
-@pytest.mark.parametrize(
-    "cfg, d_km, n",
-    [
-        (NetworkConfig(), 3.0, 9000),  # three batches
-        (NetworkConfig(mean_devices=0.0), 5.0, 500),
-        (NetworkConfig(mean_devices=300.0), 11.5, 2000),
-    ],
-    ids=["default", "no-devices", "edge-300"],
-)
-def test_estimate_mean_sir_reports_the_mean_sir_modes_draws(cfg, d_km, n):
-    stats = estimate_mean_sir(cfg, d_km, n, seed=13)
-    spec = _distance_spec((d_km,), n=n, seed=13, sir_mode="mean-sir")
-    p = success_vs_distance(cfg, spec)[0].probs
-    assert success_from_sir(stats["max_co"].mean) == p.p_max_co
-    assert success_from_sir(stats["co"].mean) == p.p_co
-    co, inter = (outage_closed_form(stats[key].mean) for key in ("co", "inter"))
-    assert combine_sf(co, inter) == p.p_sf
+def test_estimate_mean_sir_void_fraction_within_z_of_poisson():
+    """No active co-SF interferer is the void event of the desired annulus's
+    Poisson field, of probability exp(-duty * n_bar * area share)."""
+    cfg = NetworkConfig()
+    d_km, n = 1.0, 20_000
+    stats = estimate_mean_sir(cfg, d_km, n, seed=21)
+    ring = annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
+    share = ((ring + 1) ** 2 - ring**2) / 36.0
+    expected = math.exp(-cfg.duty_cycle * cfg.mean_devices * share)
+    se = math.sqrt(expected * (1.0 - expected) / n)
+    assert stats["co"].count == n
+    assert abs(stats["co"].inf_fraction - expected) <= 4.0 * se
+
+
+def test_estimate_mean_sir_shares_the_annulus_sub_fields():
+    """Two distances in one annulus read the same sub-fields, whose emptiness
+    does not depend on the desired device's gain."""
+    cfg = NetworkConfig()
+    near = estimate_mean_sir(cfg, 6.2, 5000, seed=13)
+    far = estimate_mean_sir(cfg, 7.9, 5000, seed=13)
+    assert annulus_to_sf(6.2, cfg.cell_radius_km) == annulus_to_sf(7.9, cfg.cell_radius_km)
+    for key in ("max_co", "co", "inter"):
+        assert near[key].inf_fraction == far[key].inf_fraction
 
 
 def test_estimate_mean_sir_rejects_distance_outside_cell():
@@ -437,15 +398,14 @@ def test_estimate_mean_sir_rejects_distance_outside_cell():
             estimate_mean_sir(cfg, d_km, 10, seed=1)
 
 
-@pytest.mark.parametrize("sir_mode", SIR_MODES)
-def test_distance_row_independent_of_the_rest_of_the_grid(sir_mode):
+def test_distance_row_independent_of_the_rest_of_the_grid():
     """A row draws from the six ring streams only, so its bytes are the
     same alone, in the default grid and in another grid."""
     cfg = NetworkConfig()
     default = default_distance_grid(cfg)
 
     def row(grid, d_km):
-        spec = _distance_spec(grid, n=5000, seed=5, sir_mode=sir_mode)
+        spec = _distance_spec(grid, n=5000, seed=5)
         lines = curve_to_csv(success_vs_distance(cfg, spec), "d_km").splitlines()
         return lines[1 + grid.index(d_km)]
 
@@ -453,17 +413,6 @@ def test_distance_row_independent_of_the_rest_of_the_grid(sir_mode):
         alone = row((d_km,), d_km)
         assert row(default, d_km) == alone
         assert row((0.25, d_km - 0.05, d_km), d_km) == alone
-
-
-def test_estimate_mean_sir_matches_the_row_of_a_multi_point_sweep():
-    cfg = NetworkConfig()
-    grid = default_distance_grid(cfg, 24)
-    stats = estimate_mean_sir(cfg, grid[9], 5000, seed=13)
-    p = success_vs_distance(cfg, _distance_spec(grid, n=5000, seed=13, sir_mode="mean-sir"))[9]
-    assert success_from_sir(stats["max_co"].mean) == p.probs.p_max_co
-    assert success_from_sir(stats["co"].mean) == p.probs.p_co
-    co, inter = (outage_closed_form(stats[key].mean) for key in ("co", "inter"))
-    assert combine_sf(co, inter) == p.probs.p_sf
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -488,7 +437,7 @@ def test_success_non_increasing_within_each_ring(seed):
 def test_ratio_of_fadings_median():
     # two devices at equal deterministic power: the co-SF SIR reduces to a
     # ratio of independent unit exponentials, whose median is 1 (its mean
-    # diverges, which is why SirStats carries the median alongside)
+    # diverges, which is why SirStats reports the median and no mean)
     rng = np.random.default_rng(31)
     ratio = rng.exponential(size=200_000) / rng.exponential(size=200_000)
     assert float(np.median(ratio)) == pytest.approx(1.0, abs=0.02)
