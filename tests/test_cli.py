@@ -209,14 +209,16 @@ def test_non_finite_flag_fails_naming_key(args, key, capsys):
     assert key in err
 
 
-def test_sweep_density_rejects_threads_flag(capsys):
-    """The density sweep runs on one thread, so it takes no --threads."""
-    code, out, err = run_cli(
-        ["sweep-density", "--realizations", "10", "--threads", "2"], capsys
-    )
-    assert code == 2
-    assert out == ""
-    assert "--threads" in err
+def test_sweep_density_rejects_zero_threads(capsys):
+    """The density sweep runs on one thread, so it takes no --threads, zero
+    or otherwise."""
+    for threads in ("0", "2"):
+        code, out, err = run_cli(
+            ["sweep-density", "--realizations", "10", "--threads", threads], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
 
 
 def test_non_finite_config_value_fails_naming_key(tmp_path, capsys):
