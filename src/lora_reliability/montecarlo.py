@@ -1,8 +1,8 @@
 """Seeded Monte Carlo sweeps: success probability versus distance and
 coverage probability versus the average number of devices.
 
-Determinism contract: every work unit draws from its own generator seeded
-by ``(seed, stream tag, unit index, batch index)`` and results are added in
+Determinism contract: every work unit draws from its own generators, seeded
+by the seed, a stream tag and the unit's indices, and results are added in
 index order, so output is bit-identical no matter how many workers run the
 sweep.  The distance sweep's unit is the (annulus, batch) pair.  The active
 devices form a Poisson process on the cell, which is the superposition of
@@ -14,24 +14,33 @@ one annulus also share annulus k's desired fading, because in normalized
 units a point's SIR is ``(d/R)**(-eta) * fading / I``.  So a row depends on
 its distance, the seed and the realization count alone, not on the rest of
 the grid; all rows are positively correlated (common random numbers), those
-of one annulus most.  The density sweep runs its batches in order on the
-calling thread, each across the whole grid, with fields drawn on the whole
-cell.  Its fields are nested: a Poisson process at ``n_bar_i`` is the one at
-``n_bar_{i-1}`` plus an independent increment, so grid point i draws only
-that increment, from ``(seed, _TAG_DENSITY_FIELD, i, batch)``, and adds it
-to the field of the point below it.  A density row therefore depends on the
+of one annulus most.  The density sweep's unit is the batch
+(:func:`_density_batches`): the batches run in order on the calling thread,
+each across the whole grid, with fields drawn on the whole cell.  Its fields
+are nested: a Poisson process at ``n_bar_i`` is the one at ``n_bar_{i-1}``
+plus an independent increment, so grid point i draws only that increment
+and adds it to the field of the point below it.  The increment's
+interferers in one batch are a single Poisson count, each with a uniform
+owner realization, which gives every realization an independent Poisson
+count (Poisson splitting); each batch reads all its increments, in grid
+order, from three generators ``(seed, _TAG_DENSITY_FIELD, batch, j)``
+(:func:`_nested_field_powers`).  A density row therefore depends on the
 grid points below it, and its interference columns never rise with
 ``n_bar``.
 
-The interference kernel :func:`_field_powers` works on chunks of whole
-realizations with about ``_CHUNK`` active interferers each, so its memory
-per worker thread is bounded by ``_CHUNK`` whatever the mean device count,
-unless one realization alone averages more than ``_CHUNK`` active
-interferers.  The chunk size is not part of the stream contract: every
+Both interference samplers work on chunks of about ``_CHUNK`` active
+interferers, so their memory per worker thread is bounded by ``_CHUNK``
+whatever the mean device count, except that a chunk of the distance
+sweep's :func:`_field_powers` holds whole realizations, so one realization
+that alone averages more than ``_CHUNK`` active interferers is a chunk of
+its own.  The chunk size is not part of the stream contract: every
 per-realization sum adds the same terms in the same order at any chunk size.
-This relies on PCG64's ``advance`` and on ``Generator.random`` using one
-64-bit word per double: the fading draws come from a copy of the batch
-generator advanced past the position draws.
+:func:`_nested_field_powers` reads each of its generators in order across
+chunks and adds term by term (``ufunc.at``); its owner draws take 32-bit
+words, whose spare half PCG64 keeps in the bit generator between calls.
+:func:`_field_powers` relies on PCG64's ``advance`` and on
+``Generator.random`` using one 64-bit word per double: its fading draws
+come from a copy of the batch generator advanced past the position draws.
 
 The kernel works in normalized units.  Every scenario SIR is a ratio of
 received powers ``tx * fading * gain(d)``, and both path-loss forms give
@@ -55,7 +64,7 @@ Poisson(mean_devices) candidates and keeping each with the duty-cycle
 probability, the engine draws the active interferers directly as
 Poisson(duty_cycle * mean_devices) with i.i.d. uniform positions.  The two
 procedures produce identically distributed active fields, and only active
-interferers enter any SIR.  This kernel is the only Monte Carlo engine.
+interferers enter any SIR.  These samplers are the only Monte Carlo engine.
 The object-level path (:func:`geometry.sample_realization` with
 :func:`interference.sir_sample`) keeps the explicit candidate-plus-thinning
 form as the independent reference that tests and ``validate`` compare
@@ -67,7 +76,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -227,33 +236,26 @@ def _field_powers(
     batch: int,
     n_bar: float,
     cfg: NetworkConfig,
-    interval: tuple[float, float] = (0.0, 1.0),
-    annulus: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample one batch of active interference fields and return their
-    normalized powers per realization: the strongest co-SF term, the co-SF
-    sum and the inter-SF sum (0 where the interferer set is empty).  The
-    point step turns them into successes (:func:`_successes`).
+    interval: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one batch of one annulus's sub-field (:func:`_ring_intervals`)
+    and return its normalized powers per realization: the strongest term and
+    the sum (0 where the interferer set is empty).
 
-    The field is a Poisson process of intensity ``duty * n_bar`` per unit
-    of area fraction, restricted to the uniform-by-area draws ``u`` in
+    The sub-field is a Poisson process of intensity ``duty * n_bar`` per
+    unit of area fraction, restricted to the uniform-by-area draws ``u`` in
     ``interval = [lo, hi)``.  An interferer at area fraction
     ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading`` (see
-    the module docstring).  With ``annulus=None`` the field is one
-    annulus's sub-field (:func:`_ring_intervals`): every term is co-SF and
-    no draw is tested against the ring starts.  Otherwise ``annulus`` holds
-    one desired annulus per realization, the field is the whole cell, and
-    each term is co-SF if its ``v`` lies in the desired ring.
+    the module docstring).
     """
     lo_u, hi_u = interval
     width = hi_u - lo_u
     counts = rng.poisson(cfg.duty_cycle * n_bar * width, size=batch)
     total = int(counts.sum())
-    co_power = np.zeros(batch)
-    inter_power = np.zeros(batch)
+    power = np.zeros(batch)
     strongest = np.zeros(batch)
     if total == 0:
-        return strongest, co_power, inter_power
+        return strongest, power
 
     # The uniform draws of all interferers come first in ``rng``'s stream
     # and the exponential draws follow, one word per uniform double, so a
@@ -283,27 +285,70 @@ def _field_powers(
             w += lo_u
         if lo_u < v_min:
             np.maximum(w, v_min, out=w)
-        if annulus is not None:  # ring k is [_RING_U[k], _RING_U[k + 1])
-            same = w >= np.repeat(_RING_U[annulus[lo:hi]], chunk_counts)
-            same &= w < np.repeat(_RING_U[annulus[lo:hi] + 1], chunk_counts)
         w **= exponent
-        w *= fading_rng.exponential(size=size)
+        w *= fading_rng.standard_exponential(size)
         # reduceat misreads empty segments, so it runs over the non-empty
         # realizations' (strictly increasing) starts only.
         filled = chunk_counts > 0
         starts = (ends[lo:hi] - chunk_counts - base)[filled]
         rows = lo + np.flatnonzero(filled)
-        co_terms = w
-        if annulus is not None:
-            # w - w is exactly 0, so w holds the other-SF terms after this,
-            # and zeros change neither a segment's sum nor its maximum.
-            co_terms = w * same
-            w -= co_terms
-            inter_power[rows] = np.add.reduceat(w, starts)
-        co_power[rows] = np.add.reduceat(co_terms, starts)
-        strongest[rows] = np.maximum.reduceat(co_terms, starts)
+        power[rows] = np.add.reduceat(w, starts)
+        strongest[rows] = np.maximum.reduceat(w, starts)
         lo = hi
-    return strongest, co_power, inter_power
+    return strongest, power
+
+
+def _nested_field_powers(
+    draws: tuple[np.random.Generator, np.random.Generator, np.random.Generator],
+    annulus: np.ndarray,
+    steps: Iterable[float],
+    cfg: NetworkConfig,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Nested whole-cell fields for one batch of desired devices in
+    ``annulus`` (one index per realization): after adding each increment
+    of ``steps`` mean devices, yield the running normalized powers per
+    realization, the strongest co-SF term, the co-SF sum and the inter-SF
+    sum (0 where the interferer set is empty).  The three arrays are
+    updated in place by the next increment.
+
+    An increment of ``n_bar`` is a Poisson process of intensity
+    ``duty * n_bar`` per unit of area fraction on the cell of every
+    realization.  Their superposition over the batch is one Poisson count
+    ``N ~ Poisson(duty * n_bar * batch)`` of interferers, each with a
+    uniform owner realization, which gives every realization an
+    independent Poisson count of the right mean (Poisson splitting).  Each
+    interferer has a uniform-by-area draw and fading as in
+    :func:`_field_powers`, and is co-SF if its clamped area fraction lies in
+    its owner's desired ring.  ``draws`` are three generators read in
+    order across increments and chunks: the counts and owners, the area
+    draws and the fading.  Terms are added one by one in interferer order
+    (``ufunc.at``), so the chunk size changes neither the draws nor the
+    sums, and memory is bounded by ``_CHUNK`` whatever the mean count.
+    """
+    owners, positions, fadings = draws
+    batch = annulus.size
+    ring_lo, ring_hi = _RING_U[annulus], _RING_U[annulus + 1]
+    v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
+    exponent = -0.5 * cfg.path_loss_exponent
+    strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
+    for step in steps:
+        total = int(owners.poisson(cfg.duty_cycle * step * batch))
+        for start in range(0, total, _CHUNK):
+            size = min(_CHUNK, total - start)
+            owner = owners.integers(batch, size=size)
+            w = positions.random(size)
+            np.maximum(w, v_min, out=w)
+            same = w >= ring_lo[owner]  # ring k is [_RING_U[k], _RING_U[k + 1])
+            same &= w < ring_hi[owner]
+            w **= exponent
+            w *= fadings.standard_exponential(size)
+            co = same.nonzero()[0]
+            co_owner, co_terms = owner[co], w[co]
+            np.maximum.at(strongest, co_owner, co_terms)
+            np.add.at(co_power, co_owner, co_terms)
+            w[co] = 0.0  # a zero term changes no sum
+            np.add.at(inter_power, owner, w)
+        yield strongest, co_power, inter_power
 
 
 def _draw(
@@ -312,7 +357,7 @@ def _draw(
     n_bar: float,
     cfg: NetworkConfig,
     interval: tuple[float, float],
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One batch from generator ``stream``: the desired fading, then the
     powers of one annulus's sub-field (see :func:`_field_powers`)."""
     rng = np.random.default_rng(stream)
@@ -326,7 +371,7 @@ def _desired_fading(rng: np.random.Generator, batch: int) -> np.ndarray:
     about 2**-53; the clamp keeps every desired signal ``gain * fading``
     positive, since every gain is at least 1, so :func:`_successes` never
     divides 0 by 0."""
-    fading = rng.exponential(size=batch)
+    fading = rng.standard_exponential(batch)
     return np.maximum(fading, np.finfo(float).tiny, out=fading)
 
 
@@ -362,17 +407,17 @@ def _ring_batches(
     intervals = _ring_intervals(cfg)
     for batch_index, batch in _batches(n):
 
-        def draw(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        def draw(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
             stream = (seed, _TAG_DISTANCE, k, batch_index)
             return _draw(stream, batch, cfg.mean_devices, cfg, intervals[k])
 
         # Outer annuli hold more devices; starting them first evens the
         # threads' loads.
         rings = list(run(draw, range(5, -1, -1)))[::-1]
-        sums = [co_power for _, (_, co_power, _) in rings]
+        sums = [power for _, (_, power) in rings]
         yield [
             (fading, (strongest, sums[k], sum(sums[j] for j in range(6) if j != k)))
-            for k, (fading, (strongest, _, _)) in enumerate(rings)
+            for k, (fading, (strongest, _)) in enumerate(rings)
         ]
 
 
@@ -380,8 +425,8 @@ def _sirs(
     powers: tuple[np.ndarray, np.ndarray, np.ndarray], s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three scenario SIRs of desired signals ``s`` against one batch of
-    field powers (see :func:`_field_powers`), inf where the relevant
-    interferer set is empty."""
+    field powers (strongest co-SF term, co-SF sum, inter-SF sum), inf where
+    the relevant interferer set is empty."""
     strongest, co_power, inter_power = powers
     # Dividing only where the power is positive keeps the empty-set points
     # at inf and avoids 0/0.
@@ -399,8 +444,8 @@ def _successes(
     powers: tuple[np.ndarray, np.ndarray, np.ndarray], s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three scenario successes ``1 - outage(SIR)`` of desired
-    signals ``s > 0`` against one batch of field powers (see
-    :func:`_field_powers`), as ``0.5 + 0.5 * sqrt(s / (s + k * P))``: with
+    signals ``s > 0`` against one batch of field powers (strongest co-SF
+    term, co-SF sum, inter-SF sum), as ``0.5 + 0.5 * sqrt(s / (s + k * P))``: with
     the SIR ``g = c * s / P``, ``k = 2 / c``, and ``c`` is
     ``CO_CHANNEL_REJECTION`` for the strongest term and 1 for the sums.  An
     empty interferer set (``P = 0``) gives exactly 1, the success at
@@ -453,6 +498,29 @@ def _by_area(
     theta = np.array([db_to_linear(row.snr_threshold_db) for row in sf_table()])[annulus]
     edge_mw = dbm_to_mw(cfg.tx_power_dbm) * path_loss(cfg.cell_radius_km, model)
     return gain, annulus, np.exp(-(model.noise_mw * theta) / (edge_mw * gain))
+
+
+def _density_batches(
+    cfg: NetworkConfig, grid: tuple[float, ...], n: int, seed: int, model: ChannelModel
+) -> Iterator[tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
+    """Per batch of ``n`` realizations, in batch order: the desired signals
+    in normalized units, their noise-only success, and the running field
+    powers at each mean device count of ``grid``, in grid order
+    (:func:`_nested_field_powers`; read each before drawing the next).
+
+    Batch ``b`` draws its desired devices' area fractions and fading from
+    generator ``(seed, _TAG_DENSITY_DESIRED, b)``, and its nested fields
+    from generators ``(seed, _TAG_DENSITY_FIELD, b, j)``, ``j = 0, 1, 2``.
+    """
+    steps = np.diff(grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
+    for batch_index, batch in _batches(n):
+        rng = np.random.default_rng([seed, _TAG_DENSITY_DESIRED, batch_index])
+        gain, annulus, s_snr = _by_area(rng.random(batch), cfg, model)
+        s = gain * _desired_fading(rng, batch)
+        draws = tuple(
+            np.random.default_rng([seed, _TAG_DENSITY_FIELD, batch_index, j]) for j in range(3)
+        )
+        yield s, s_snr, _nested_field_powers(draws, annulus, steps, cfg)
 
 
 class _Point:
@@ -563,14 +631,17 @@ def coverage_vs_density(
     The fields of the grid are nested.  A Poisson process of intensity
     ``duty * n_bar_i`` is the one at ``n_bar_{i-1}`` plus an independent
     increment of intensity ``duty * (n_bar_i - n_bar_{i-1})``, so each
-    batch walks the grid once and point i draws only its increment, from
-    generator ``(seed, _TAG_DENSITY_FIELD, i, batch)``, and adds it to the
-    running field powers.  The desired devices and their fading are drawn
-    once per batch, from generator ``(seed, _TAG_DENSITY_DESIRED, batch)``,
-    and every point reads them, which is why the noise-only column ``p_snr``
-    is bit-identical across the grid.  Each row keeps its law, but a row
-    depends on the grid points below it, and the interference columns never
-    rise with the mean device count.
+    batch walks the grid once and point i draws only its increment and adds
+    it to the running field powers (:func:`_density_batches`).  A batch's
+    increment is one Poisson count of interferers with uniform owner
+    realizations, drawn with all the batch's other increments from
+    generators ``(seed, _TAG_DENSITY_FIELD, batch, j)``, ``j = 0, 1, 2``.
+    The desired devices and their fading are drawn once per batch, from
+    generator ``(seed, _TAG_DENSITY_DESIRED, batch)``, and every point reads
+    them, which is why the noise-only column ``p_snr`` is bit-identical
+    across the grid.  Each row keeps its law, but a row depends on the grid
+    points below it, and the interference columns never rise with the mean
+    device count.
 
     The batches run in order on the calling thread.  ``threads`` must be at
     least 1 and changes nothing; it is accepted so that both sweeps take the
@@ -581,22 +652,13 @@ def coverage_vs_density(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     model = ChannelModel.from_config(cfg, path_loss_form)
-    steps = np.diff(spec.grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
     points = [_Point(spec) for _ in spec.grid]
     snr = _MeanAcc()
-    for batch_index, batch in _batches(spec.realizations_per_point):
-        rng = np.random.default_rng([spec.seed, _TAG_DENSITY_DESIRED, batch_index])
-        gain, annulus, s_snr = _by_area(rng.random(batch), cfg, model)
-        s = gain * _desired_fading(rng, batch)
+    batches = _density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed, model)
+    for s, s_snr, fields in batches:
         snr.add(s_snr)
-        strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
-        for i, (point, step) in enumerate(zip(points, steps)):
-            stream = (spec.seed, _TAG_DENSITY_FIELD, i, batch_index)
-            added = _field_powers(np.random.default_rng(stream), batch, step, cfg, annulus=annulus)
-            np.maximum(strongest, added[0], out=strongest)
-            co_power += added[1]
-            inter_power += added[2]
-            point.add((strongest, co_power, inter_power), s, s_snr)
+        for point, powers in zip(points, fields):
+            point.add(powers, s, s_snr)
     return [point.result(n_bar, snr.mean, snr.stderr) for point, n_bar in zip(points, spec.grid)]
 
 

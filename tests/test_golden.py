@@ -40,10 +40,10 @@ GOLDEN = {
     ("distance", "success-product", "paper_literal"): "b9f54b3fdf599b9e6be831566082af3c0b2474a1a7e8eb372820e93a4ac6dac9",
     ("distance", "outage-product", "standard"): "31cf59a7bc1984a832a5e7561d6d284d8daef9dde14f8186c37d47f7ba4c3942",
     ("distance", "outage-product", "paper_literal"): "31e5cea5285bca40a79d2de95b0dba6f5ed6acf2bcd056f40ccbac1215b39b26",
-    ("density", "success-product", "standard"): "5b79fbb14029333ff11b3892cedda1271c3139c35f196d6cde1e971d7143cd93",
-    ("density", "success-product", "paper_literal"): "5219d9e9a6245a30b7a40ff6202c742f09c768aae48e29c2348c76e3fb0ed10c",
-    ("density", "outage-product", "standard"): "aa2a171f1121dd487dbf7c96c22ec23fdee91dc6cd6d31317f437924fd2aca4d",
-    ("density", "outage-product", "paper_literal"): "59b09bffe61a465c6be2871c4fc574b284f51c12d4125117e4f8e627696fb417",
+    ("density", "success-product", "standard"): "5f89541d20b97430875e088b6990943e80e4beb565512c367ce15aea3b7b8ad3",
+    ("density", "success-product", "paper_literal"): "40c9d06ca94d33fd35689e497c4a880d9b1ec5ee00fa7a5019ed2ebd21b94960",
+    ("density", "outage-product", "standard"): "534114c9c3805368cc1d422effd67a868d4173471c791b7d33ae027abc908d18",
+    ("density", "outage-product", "paper_literal"): "503c985ec5d4981523407205e13eed93f3a4f5a8e509bd3039e16174e0937f54",
 }
 
 

@@ -1,16 +1,19 @@
-"""The interference kernel ``montecarlo._field_powers``, with the point step's
-divisions ``montecarlo._sirs``, against the physical-unit arithmetic it
-replaced, and its ring rule at the ring starts; and the point step's success
+"""The interference samplers ``montecarlo._field_powers`` (one annulus's
+sub-field) and ``montecarlo._nested_field_powers`` (whole-cell increments
+split by the ring test), with the point step's divisions
+``montecarlo._sirs``, against the physical-unit arithmetic they replaced,
+and their ring rule at the ring starts; and the point step's success
 transform ``montecarlo._successes`` against the SIR path it replaced.
 
-The kernel works in normalized units: an interferer at area fraction
+The samplers work in normalized units: an interferer at area fraction
 ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading``.  The
-reference below computes every received power in milliwatts, as
+references below compute every received power in milliwatts, as
 ``tx * fading * path_loss_array(max(d_min, R*sqrt(u)))`` with the ring index
-``int(6*d/R)``, from the same generator and with ``u`` drawn on the same
-interval: the whole cell or one annulus's sub-field.  The SIRs are ratios of
-such powers, so the two must agree to rounding; the relative tolerance 1e-12
-was fixed before the first comparison.
+``int(6*d/R)``, from the same generators and in the same stream layout:
+per-realization counts on one annulus's interval for a sub-field, one
+batch-wide count with uniform owners on the whole cell for an increment.
+The SIRs are ratios of such powers, so the two must agree to rounding; the
+relative tolerance 1e-12 was fixed before the first comparison.
 """
 
 import numpy as np
@@ -31,19 +34,13 @@ RING_START_U = np.array([(k / 6) ** 2 for k in range(6)])
 RADII_KM = [tenths / 10 for tenths in range(1, 301)]
 
 
-def _reference_field_sirs(rng, s_desired_mw, annulus_desired, n_bar, cfg, model, interval):
-    """One batch of scenario SIRs in milliwatts, all draws at once, with
-    the interferers uniform by area on ``interval`` of the area fraction."""
+def _reference_sirs(owner, u, fading, s_desired_mw, annulus_desired, cfg, model):
+    """One batch of scenario SIRs in milliwatts from the interferers'
+    owner realizations, uniform-by-area draws and fading."""
     batch = s_desired_mw.shape[0]
-    lo, hi = interval
-    counts = rng.poisson(cfg.duty_cycle * n_bar * (hi - lo), size=batch)
-    total = int(counts.sum())
-    u = lo + (hi - lo) * rng.random(total)
-    fading = rng.exponential(size=total)
     dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
     ring = np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
     power = dbm_to_mw(cfg.tx_power_dbm) * fading * path_loss_array(dist, model)
-    owner = np.repeat(np.arange(batch), counts)
     same = ring == np.broadcast_to(annulus_desired, (batch,))[owner]
     co_power = np.bincount(owner[same], weights=power[same], minlength=batch)
     inter_power = np.bincount(owner[~same], weights=power[~same], minlength=batch)
@@ -55,6 +52,37 @@ def _reference_field_sirs(rng, s_desired_mw, annulus_desired, n_bar, cfg, model,
             s_desired_mw / co_power,
             s_desired_mw / inter_power,
         )
+
+
+def _reference_sub_field_sirs(rng, s_desired_mw, annulus_desired, n_bar, cfg, model, interval):
+    """Per-realization counts with the interferers uniform by area on
+    ``interval`` of the area fraction, all draws at once."""
+    batch = s_desired_mw.shape[0]
+    lo, hi = interval
+    counts = rng.poisson(cfg.duty_cycle * n_bar * (hi - lo), size=batch)
+    total = int(counts.sum())
+    u = lo + (hi - lo) * rng.random(total)
+    owner = np.repeat(np.arange(batch), counts)
+    return _reference_sirs(
+        owner, u, rng.exponential(size=total), s_desired_mw, annulus_desired, cfg, model
+    )
+
+
+def _reference_increment_sirs(draws, s_desired_mw, annulus_desired, n_bar, cfg, model):
+    """One whole-cell increment: one batch-wide count, then every owner,
+    every uniform-by-area draw and every fading draw at once."""
+    owners, positions, fadings = draws
+    batch = s_desired_mw.shape[0]
+    total = int(owners.poisson(cfg.duty_cycle * n_bar * batch))
+    owner = owners.integers(batch, size=total)
+    u = positions.random(total)
+    return _reference_sirs(
+        owner, u, fadings.exponential(size=total), s_desired_mw, annulus_desired, cfg, model
+    )
+
+
+def _field_draws(seed):
+    return tuple(np.random.default_rng([seed, j]) for j in range(3))
 
 
 def _desired(kind, cfg, model, rng, batch):
@@ -89,40 +117,49 @@ def test_kernel_matches_physical_unit_reference(monkeypatch, form, kind, n_bar, 
     s_norm, s_mw, annulus, ring = _desired(kind, cfg, model, np.random.default_rng(3), 4096)
     np.testing.assert_array_equal(annulus, ring)
 
-    # The whole cell with one desired annulus per realization, split by the
-    # ring test; then each annulus's sub-field, all co-SF, against the
-    # reference for a desired device in that annulus.
-    cases = [((0.0, 1.0), np.broadcast_to(annulus, (4096,)), ring)]
-    cases += [(interval, None, k) for k, interval in enumerate(montecarlo._ring_intervals(cfg))]
-    for interval, annuli, reference_ring in cases:
-        powers = montecarlo._field_powers(
-            np.random.default_rng(11), 4096, n_bar, cfg, interval, annuli
+    # One whole-cell increment with one desired annulus per realization,
+    # split by the ring test; then each annulus's sub-field, all co-SF,
+    # against the reference for a desired device in that annulus.
+    annuli = np.broadcast_to(annulus, (4096,))
+    powers = next(montecarlo._nested_field_powers(_field_draws(11), annuli, (n_bar,), cfg))
+    reference = _reference_increment_sirs(_field_draws(11), s_mw, ring, n_bar, cfg, model)
+    cases = [("whole cell", powers, reference)]
+    for k, interval in enumerate(montecarlo._ring_intervals(cfg)):
+        strongest, power = montecarlo._field_powers(
+            np.random.default_rng(11), 4096, n_bar, cfg, interval
         )
+        reference = _reference_sub_field_sirs(
+            np.random.default_rng(11), s_mw, k, n_bar, cfg, model, interval
+        )
+        cases.append((interval, (strongest, power, np.zeros(4096)), reference))
+    for label, powers, reference in cases:
         sirs = montecarlo._sirs(powers, s_norm)
-        reference = _reference_field_sirs(
-            np.random.default_rng(11), s_mw, reference_ring, n_bar, cfg, model, interval
-        )
         if n_bar == 30.0:  # empty realizations are covered
-            assert 0.5 < np.mean(powers[1] + powers[2] == 0.0) < 1.0, interval
+            assert 0.5 < np.mean(powers[1] + powers[2] == 0.0) < 1.0, label
         for got, want in zip(sirs, reference):
-            np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0, err_msg=f"{interval}")
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0, err_msg=f"{label}")
 
 
 class _OneInterfererEach:
-    """Generator stand-in: one active interferer per realization at the
-    given area fractions, all with unit fading."""
+    """Generator stand-in for each of the nested-field sampler's three
+    generators: realization j owns one active interferer, at the j-th given
+    area fraction, with unit fading."""
 
     def __init__(self, u):
         self._u = np.asarray(u, dtype=float)
 
-    def poisson(self, lam, size):
-        return np.ones(size, dtype=np.int64)
+    def poisson(self, lam):
+        return self._u.size
+
+    def integers(self, high, size):
+        assert high == size == self._u.size
+        return np.arange(size)
 
     def random(self, size):
         assert size == self._u.size
         return self._u.copy()
 
-    def exponential(self, size):
+    def standard_exponential(self, size):
         return np.ones(size)
 
 
@@ -130,17 +167,17 @@ def test_kernel_ring_start_belongs_to_outer_ring():
     for r in RADII_KM:
         cfg = NetworkConfig(cell_radius_km=r)
         for k in range(6):
-            draws = _OneInterfererEach(RING_START_U)
-            powers = montecarlo._field_powers(draws, 6, 1.0, cfg, annulus=np.full(6, k))
+            draws = (_OneInterfererEach(RING_START_U),) * 3
+            powers = next(montecarlo._nested_field_powers(draws, np.full(6, k), (1.0,), cfg))
             _, g_co, g_inter = montecarlo._sirs(powers, np.ones(6))
             same = np.arange(6) == k
             np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r} k={k}")
             np.testing.assert_array_equal(np.isfinite(g_inter), ~same, err_msg=f"R={r} k={k}")
         # Per-realization annuli: realization j is in ring j, not ring j - 1.
         for shift, same in ((0, True), (1, False)):
-            draws = _OneInterfererEach(RING_START_U)
+            draws = (_OneInterfererEach(RING_START_U),) * 3
             annulus = (np.arange(6) - shift) % 6
-            powers = montecarlo._field_powers(draws, 6, 1.0, cfg, annulus=annulus)
+            powers = next(montecarlo._nested_field_powers(draws, annulus, (1.0,), cfg))
             _, g_co, g_inter = montecarlo._sirs(powers, np.ones(6))
             np.testing.assert_array_equal(np.isfinite(g_co), same, err_msg=f"R={r}")
             np.testing.assert_array_equal(np.isfinite(g_inter), not same, err_msg=f"R={r}")
@@ -185,7 +222,7 @@ def test_successes_without_interferers_or_desired_signal():
 
 def test_desired_fading_floor_is_the_smallest_normal_double():
     class ZeroDraws:
-        def exponential(self, size):
+        def standard_exponential(self, size):
             return np.array([0.0, 5e-324, 1.0])[:size]
 
     assert montecarlo._desired_fading(ZeroDraws(), 3).tolist() == [TINY, TINY, 1.0]

@@ -184,19 +184,22 @@ def test_interference_columns_independent_of_path_loss_form(kind):
 
 
 def test_kernel_memory_bounded_by_chunk():
-    # About 4e6 active interferers in one 4096-realization batch; without
-    # chunking the kernel holds about 10 arrays of that length (>200 MB).
-    # The outermost annulus's sub-field alone holds about 1.25e6.
+    # About 4e6 active interferers in one 4096-realization batch, and then in
+    # one realization alone; without chunking the nested-field sampler holds
+    # about 10 arrays of that length (>200 MB).  The outermost annulus's
+    # sub-field alone holds about 1.25e6.
     cfg = NetworkConfig()
     s_desired = np.full(4096, 1e-9)
     ring_5 = montecarlo._ring_intervals(cfg)[5]
+    draws = tuple(np.random.default_rng([0, j]) for j in range(3))
     tracemalloc.start()
     try:
-        powers = montecarlo._field_powers(
-            np.random.default_rng(0), 4096, 1e5, cfg, annulus=np.full(4096, 3)
-        )
+        powers = next(montecarlo._nested_field_powers(draws, np.full(4096, 3), (1e5,), cfg))
         sirs = montecarlo._sirs(powers, s_desired)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        alone = next(montecarlo._nested_field_powers(draws, np.full(1, 3), (4096 * 1e5,), cfg))
+        alone_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         ring_powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 1e5, cfg, ring_5)
         ring_peak = tracemalloc.get_traced_memory()[1]
@@ -204,7 +207,9 @@ def test_kernel_memory_bounded_by_chunk():
         tracemalloc.stop()
     assert all(np.isfinite(g).all() for g in sirs)
     assert peak < 16e6
-    assert (ring_powers[1] > 0.0).all() and not ring_powers[2].any()
+    assert all(p[0] > 0.0 for p in alone)
+    assert alone_peak < 16e6
+    assert all((p > 0.0).all() for p in ring_powers)
     assert ring_peak < 16e6
 
 
@@ -222,11 +227,10 @@ def test_ring_inter_power_is_the_other_rings_sums_in_ring_order():
             for j in range(6)
         ]
         for k, (fading, (strongest, co, inter)) in enumerate(rings):
-            own_fading, (own_strongest, own_co, own_inter) = sub[k]
+            own_fading, (own_strongest, own_co) = sub[k]
             np.testing.assert_array_equal(fading, own_fading)
             np.testing.assert_array_equal(strongest, own_strongest)
             np.testing.assert_array_equal(co, own_co)
-            assert not own_inter.any()
             others = np.zeros(batch)
             for j in range(6):
                 if j != k:
@@ -294,6 +298,27 @@ def test_density_p_snr_exactly_constant():
     for pt in points[1:]:
         assert pt.probs.p_snr == first.probs.p_snr
         assert pt.stderr.p_snr == first.stderr.p_snr
+
+
+def test_density_increment_counts_are_poisson():
+    """Each increment is one batch-wide Poisson count with uniform owners,
+    so every realization's whole-cell field at n_bar_i holds a Poisson
+    number of active interferers of mean duty * n_bar_i, in full batches
+    and in the partial one alike: the fraction of realizations with an
+    empty field is exp(-duty * n_bar_i) within |z| <= 4 at every point."""
+    cfg = NetworkConfig()
+    grid = (0.0,) + default_density_grid(300.0, 12)
+    n = 2 * 4096 + 2000
+    empty = np.zeros(len(grid))
+    batches = montecarlo._density_batches(cfg, grid, n, 13, ChannelModel.from_config(cfg))
+    for _, _, fields in batches:
+        for i, (_, co_power, inter_power) in enumerate(fields):
+            empty[i] += np.count_nonzero((co_power == 0.0) & (inter_power == 0.0))
+    assert empty[0] == n
+    for n_bar, count in zip(grid[1:], empty[1:]):
+        p = math.exp(-cfg.duty_cycle * n_bar)
+        z = (count / n - p) / math.sqrt(p * (1.0 - p) / n)
+        assert abs(z) <= 4.0, f"z = {z:.2f} at n_bar = {n_bar}"
 
 
 def test_density_zero_point_certain():

@@ -343,9 +343,9 @@ def test_desk_distance_inter_sf_success_within_z_of_oracle():
 def test_full_density_inter_sf_success_within_z_of_oracle():
     """The inter-SF power the density split leaves outside each desired
     annulus, through the per-realization success of the sweep's ``p_sf``
-    factor, at every point of the default grid.  The walk below replays the
-    sweep's streams; its co-SF success reproduces the sweep's ``p_co``
-    column exactly."""
+    factor, at every point of the default grid.  It reads the sweep's own
+    batch walk; its co-SF success reproduces the sweep's ``p_co`` column
+    exactly."""
     cfg = NetworkConfig()
     spec = SweepSpec(
         kind="density",
@@ -354,25 +354,16 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
         seed=11,
     )
     model = ChannelModel.from_config(cfg)
-    steps = np.diff(spec.grid, prepend=0.0)
     co = [montecarlo._MeanAcc() for _ in spec.grid]
     inter = [montecarlo._MeanAcc() for _ in spec.grid]
-    for b, batch in montecarlo._batches(spec.realizations_per_point):
-        rng = np.random.default_rng([spec.seed, montecarlo._TAG_DENSITY_DESIRED, b])
-        gain, annulus, _ = montecarlo._by_area(rng.random(batch), cfg, model)
-        s = gain * montecarlo._desired_fading(rng, batch)
-        strongest, co_power, inter_power = np.zeros(batch), np.zeros(batch), np.zeros(batch)
-        for i, step in enumerate(steps):
-            stream = (spec.seed, montecarlo._TAG_DENSITY_FIELD, i, b)
-            added = montecarlo._field_powers(
-                np.random.default_rng(stream), batch, step, cfg, annulus=annulus
-            )
-            np.maximum(strongest, added[0], out=strongest)
-            co_power += added[1]
-            inter_power += added[2]
-            _, s_co, s_inter = montecarlo._successes((strongest, co_power, inter_power), s)
-            co[i].add(s_co)
-            inter[i].add(s_inter)
+    batches = montecarlo._density_batches(
+        cfg, spec.grid, spec.realizations_per_point, spec.seed, model
+    )
+    for s, _, fields in batches:
+        for co_acc, inter_acc, powers in zip(co, inter, fields):
+            _, s_co, s_inter = montecarlo._successes(powers, s)
+            co_acc.add(s_co)
+            inter_acc.add(s_inter)
     assert [acc.mean for acc in co] == [pt.probs.p_co for pt in coverage_vs_density(cfg, spec)]
     z = []
     for acc, p_inter in zip(inter, _p_inter_density_oracle(spec.grid, cfg)):
