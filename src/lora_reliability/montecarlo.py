@@ -28,19 +28,19 @@ order, from three generators ``(seed, _TAG_DENSITY_FIELD, batch, j)``
 grid points below it, and its interference columns never rise with
 ``n_bar``.
 
-Both interference samplers work on chunks of about ``_CHUNK`` active
-interferers, so their memory per worker thread is bounded by ``_CHUNK``
-whatever the mean device count, except that a chunk of the distance
-sweep's :func:`_field_powers` holds whole realizations, so one realization
-that alone averages more than ``_CHUNK`` active interferers is a chunk of
-its own.  The chunk size is not part of the stream contract: every
-per-realization sum adds the same terms in the same order at any chunk size.
-:func:`_nested_field_powers` reads each of its generators in order across
-chunks and adds term by term (``ufunc.at``); its owner draws take 32-bit
-words, whose spare half PCG64 keeps in the bit generator between calls.
-:func:`_field_powers` relies on PCG64's ``advance`` and on
-``Generator.random`` using one 64-bit word per double: its fading draws
-come from a copy of the batch generator advanced past the position draws.
+Both interference samplers cut their active interferers into chunks of at
+most ``_CHUNK``, at any count, so their memory per worker thread is bounded
+whatever the mean device count.  The chunk size is not part of the stream
+contract: the draws, and the order in which each realization's terms are
+added, are the same at any chunk size.  :func:`_nested_field_powers` reads
+each of its generators in order across chunks and adds term by term
+(``ufunc.at``); its owner draws take 32-bit words, whose spare half PCG64
+keeps in the bit generator between calls.  :func:`_field_powers` folds each
+chunk per realization and carries a realization cut between two chunks into
+the next, regrouping its sum at the cut.  It relies on PCG64's ``advance``
+and on ``Generator.random`` using one 64-bit word per double: its fading
+draws come from a copy of the batch generator advanced past the position
+draws.
 
 The kernel works in normalized units.  Every scenario SIR is a ratio of
 received powers ``tx * fading * gain(d)``, and both path-loss forms give
@@ -182,6 +182,8 @@ def default_distance_grid(
     cfg: NetworkConfig, points: int = DISTANCE_GRID_POINTS
 ) -> tuple[float, ...]:
     """Evenly spaced distances from 0.1 km to the cell edge."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     return tuple(float(x) for x in np.linspace(0.1, cfg.cell_radius_km, points))
 
 
@@ -189,6 +191,8 @@ def default_density_grid(
     n_bar_max: float = 3000.0, points: int = DENSITY_GRID_POINTS
 ) -> tuple[float, ...]:
     """Log-spaced mean device counts from 1 to ``n_bar_max`` inclusive."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     if not (math.isfinite(n_bar_max) and n_bar_max > 1):
         raise ValueError(f"n_bar_max must be finite and > 1, got {n_bar_max}")
     grid = np.geomspace(1.0, n_bar_max, points)
@@ -246,16 +250,13 @@ def _field_powers(
     unit of area fraction, restricted to the uniform-by-area draws ``u`` in
     ``interval = [lo, hi)``.  An interferer at area fraction
     ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading`` (see
-    the module docstring).
+    the module docstring).  It works in chunks of at most ``_CHUNK`` terms at
+    any count, carrying a realization cut between two chunks into the next.
     """
     lo_u, hi_u = interval
     width = hi_u - lo_u
     counts = rng.poisson(cfg.duty_cycle * n_bar * width, size=batch)
     total = int(counts.sum())
-    power = np.zeros(batch)
-    strongest = np.zeros(batch)
-    if total == 0:
-        return strongest, power
 
     # The uniform draws of all interferers come first in ``rng``'s stream
     # and the exponential draws follow, one word per uniform double, so a
@@ -264,37 +265,35 @@ def _field_powers(
     # A batch that fits one chunk draws its fading from ``rng`` itself.
     fading_rng = rng
     if total > _CHUNK:
-        fading_bits = copy.copy(rng.bit_generator)
-        fading_bits.advance(total)
-        fading_rng = np.random.Generator(fading_bits)
+        fading_rng = np.random.Generator(copy.copy(rng.bit_generator).advance(total))
 
     v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
     exponent = -0.5 * cfg.path_loss_exponent
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < batch:
-        # Whole realizations up to about _CHUNK interferers; one larger
-        # realization is a chunk of its own.
-        base = int(ends[lo] - counts[lo])
-        hi = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), lo + 1)
-        size = int(ends[hi - 1]) - base
-        chunk_counts = counts[lo:hi]
+    # reduceat misreads empty segments, so it folds the non-empty
+    # realizations only, at their (strictly increasing) starts.
+    rows = np.flatnonzero(counts)
+    starts = np.cumsum(counts)[rows] - counts[rows]
+    strongest, power = np.zeros(batch), np.zeros(batch)
+    for start in range(0, total, _CHUNK):
+        size = min(_CHUNK, total - start)
         w = rng.random(size)
-        if width < 1.0:  # on [0, 1) both steps would be exact no-ops
-            w *= width
-            w += lo_u
+        w *= width
+        w += lo_u
         if lo_u < v_min:
             np.maximum(w, v_min, out=w)
         w **= exponent
         w *= fading_rng.standard_exponential(size)
-        # reduceat misreads empty segments, so it runs over the non-empty
-        # realizations' (strictly increasing) starts only.
-        filled = chunk_counts > 0
-        starts = (ends[lo:hi] - chunk_counts - base)[filled]
-        rows = lo + np.flatnonzero(filled)
-        power[rows] = np.add.reduceat(w, starts)
-        strongest[rows] = np.maximum.reduceat(w, starts)
-        lo = hi
+        # Realizations rows[lo:hi] have terms here; w[0] takes on the running
+        # values of rows[lo], which are 0 unless it began in an earlier chunk.
+        lo = int(np.searchsorted(starts, start, side="right")) - 1
+        hi = int(np.searchsorted(starts, start + size))
+        first, segments = rows[lo], starts[lo:hi] - start
+        segments[0] = 0
+        term = w[0]
+        w[0] = max(term, strongest[first])
+        strongest[rows[lo:hi]] = np.maximum.reduceat(w, segments)
+        w[0] = term + power[first]
+        power[rows[lo:hi]] = np.add.reduceat(w, segments)
     return strongest, power
 
 

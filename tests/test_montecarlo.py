@@ -79,6 +79,16 @@ def test_default_grids():
     assert all(b > a for a, b in zip(dens, dens[1:]))
 
 
+@pytest.mark.parametrize("points", [0, -1])
+@pytest.mark.parametrize("kind", ["distance", "density"])
+def test_default_grids_reject_points_below_one(kind, points):
+    with pytest.raises(ValueError, match="points"):
+        if kind == "distance":
+            default_distance_grid(NetworkConfig(), points)
+        else:
+            default_density_grid(3000.0, points)
+
+
 def test_no_interferers_gives_certain_sir_success():
     cfg = NetworkConfig(mean_devices=0.0)
     points = success_vs_distance(cfg, _distance_spec((0.5, 6.0, 11.0), n=500))
@@ -110,14 +120,6 @@ def test_determinism_across_thread_counts():
     assert single == again
 
 
-def test_density_determinism_across_thread_counts():
-    cfg = NetworkConfig()
-    spec = _density_spec((1.0, 30.0, 300.0, 3000.0), n=1000, seed=42)
-    assert coverage_vs_density(cfg, spec, threads=1) == coverage_vs_density(
-        cfg, spec, threads=6
-    )
-
-
 def test_density_batch_merge_independent_of_thread_count():
     """Two full batches and a partial one: the density sweep adds each
     batch's sums in batch order on the calling thread, so the thread count,
@@ -125,8 +127,8 @@ def test_density_batch_merge_independent_of_thread_count():
     cfg = NetworkConfig()
     spec = _density_spec((0.0, 1.0, 30.0, 3000.0), n=2 * 4096 + 100, seed=42)
     single = coverage_vs_density(cfg, spec, threads=1)
-    assert coverage_vs_density(cfg, spec, threads=2) == single
-    assert coverage_vs_density(cfg, spec, threads=3) == single
+    for threads in (2, 3, 6):
+        assert coverage_vs_density(cfg, spec, threads=threads) == single
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -187,7 +189,8 @@ def test_kernel_memory_bounded_by_chunk():
     # About 4e6 active interferers in one 4096-realization batch, and then in
     # one realization alone; without chunking the nested-field sampler holds
     # about 10 arrays of that length (>200 MB).  The outermost annulus's
-    # sub-field alone holds about 1.25e6.
+    # sub-field alone holds about 1.25e6, in 4096 realizations and then in
+    # one.
     cfg = NetworkConfig()
     s_desired = np.full(4096, 1e-9)
     ring_5 = montecarlo._ring_intervals(cfg)[5]
@@ -203,6 +206,11 @@ def test_kernel_memory_bounded_by_chunk():
         tracemalloc.reset_peak()
         ring_powers = montecarlo._field_powers(np.random.default_rng(0), 4096, 1e5, cfg, ring_5)
         ring_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ring_alone = montecarlo._field_powers(
+            np.random.default_rng(0), 1, 4096 * 1e5, cfg, ring_5
+        )
+        ring_alone_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(np.isfinite(g).all() for g in sirs)
@@ -211,6 +219,8 @@ def test_kernel_memory_bounded_by_chunk():
     assert alone_peak < 16e6
     assert all((p > 0.0).all() for p in ring_powers)
     assert ring_peak < 16e6
+    assert all(p[0] > 0.0 for p in ring_alone)
+    assert ring_alone_peak < 16e6
 
 
 def test_ring_inter_power_is_the_other_rings_sums_in_ring_order():
