@@ -3,7 +3,6 @@ and cross-SF interference: closed forms plus a deterministic Monte Carlo
 sweep engine over a Poisson deployment."""
 
 from .analytic import (
-    JOINT_MODES,
     QuadratureError,
     ScenarioProbabilities,
     outage_closed_form,

@@ -1,8 +1,6 @@
 """Closed-form error model: Gaussian tail, its Chernoff bound, and the
 outage probability of a coherent-FSK link with exponentially distributed
-SIR, with the per-scenario result container and the names of the rules that
-join the same-SF and different-SF successes (:data:`JOINT_MODES`; the
-Monte Carlo point step applies them per realization).
+SIR, with the per-scenario result container.
 
 A quadrature routine integrates the error rate against the exponential SIR
 density directly and serves as an independent cross-check of the closed
@@ -16,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
-
-JOINT_MODES = ("success-product", "outage-product")
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -107,7 +107,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid=grid,
         realizations_per_point=_resolve_realizations(args, cfg, file_values),
         seed=cfg.seed,
-        joint_mode=args.joint_mode,
     )
     points = sweep(cfg, spec, path_loss_form=args.path_loss_form, threads=args.threads)
     _emit(curve_to_csv(points, abscissa_name), args.out)
@@ -259,14 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
-    common.add_argument(
+    # validate checks the model at its default form, so it takes no form.
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument(
         "--path-loss-form",
         choices=PATH_LOSS_FORMS,
         default="standard",
         help="free-space gain variant (default: standard)",
     )
 
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common, form])
     sweep.add_argument(
         "--realizations", type=int, metavar="N", help="realizations per sweep point"
     )
@@ -274,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full",
         action="store_true",
         help=f"full-scale run (config realizations) instead of the desk default {DESK_REALIZATIONS}",
-    )
-    sweep.add_argument(
-        "--mean-devices", type=float, metavar="N_BAR", help="average number of end devices"
-    )
-    sweep.add_argument(
-        "--joint-mode", choices=analytic.JOINT_MODES, default="success-product"
     )
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
@@ -297,6 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker threads (never changes output bytes)",
     )
+    # The density sweep takes its mean device counts from --n-bar-max.
+    p_dist.add_argument(
+        "--mean-devices", type=float, metavar="N_BAR", help="average number of end devices"
+    )
     p_dist.set_defaults(func=_cmd_sweep, kind="distance")
 
     p_dens = sub.add_parser(
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cf = sub.add_parser(
         "closed-form",
-        parents=[common],
+        parents=[common, form],
         help="evaluate the outage closed form or the noise-only success",
     )
     p_cf.add_argument("--gamma-bar", type=float, help="mean SIR (linear)")

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import JOINT_MODES, ScenarioProbabilities
+from .analytic import ScenarioProbabilities
 from .channel import ChannelModel, path_loss, snr_success_probability
 from .geometry import OutOfCellError, annulus_to_sf
 from .params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, db_to_linear, dbm_to_mw, sf_table
@@ -117,14 +117,13 @@ _RING_U.flags.writeable = False
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: the abscissa grid, per-point realization count, seed,
-    and the rule that joins the same-SF and different-SF successes."""
+    """What to sweep: the abscissa grid, per-point realization count and
+    seed."""
 
     kind: str  # "distance" | "density"
     grid: tuple[float, ...]
     realizations_per_point: int
     seed: int
-    joint_mode: str = "success-product"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
@@ -147,8 +146,6 @@ class SweepSpec:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.joint_mode not in JOINT_MODES:
-            raise ValueError(f"joint_mode must be one of {JOINT_MODES}, got {self.joint_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,8 @@ def default_density_grid(
     n_bar_max: float = 3000.0, points: int = DENSITY_GRID_POINTS
 ) -> tuple[float, ...]:
     """Log-spaced mean device counts from 1 to ``n_bar_max`` inclusive."""
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
     if not (math.isfinite(n_bar_max) and n_bar_max > 1):
         raise ValueError(f"n_bar_max must be finite and > 1, got {n_bar_max}")
     grid = np.geomspace(1.0, n_bar_max, points)
@@ -461,17 +458,6 @@ def _successes(
     return tuple(out)
 
 
-def _joint_success(s_co: np.ndarray, s_inter: np.ndarray, mode: str) -> np.ndarray:
-    """Joint success under same-SF plus different-SF interference, per
-    realization.  ``success-product`` multiplies the two successes, treating
-    the scenarios as independent filters; ``outage-product`` multiplies the
-    outages instead, which puts the joint above each factor and is kept only
-    for comparison.  :class:`SweepSpec` validates ``mode``."""
-    if mode == "success-product":
-        return s_co * s_inter
-    return 1.0 - (1.0 - s_co) * (1.0 - s_inter)
-
-
 def _pinned(cfg: NetworkConfig, d_km: float) -> tuple[float, int]:
     """Normalized gain ``(d/R)**(-eta)`` and annulus index of a desired
     device pinned at ``d_km``."""
@@ -524,14 +510,14 @@ def _density_batches(
 
 class _Point:
     """The running sums of one sweep point, fed batch by batch: the success
-    sums of max_co, co and sf and, with a per-realization noise-only
-    success, the sums of its product with the joint success.
+    sums of max_co, co and sf (the product of the co and inter successes)
+    and, with a per-realization noise-only success, the sums of its product
+    with sf.
     """
 
-    __slots__ = ("joint_mode", "scenario", "snr_sf")
+    __slots__ = ("scenario", "snr_sf")
 
-    def __init__(self, spec: SweepSpec) -> None:
-        self.joint_mode = spec.joint_mode
+    def __init__(self) -> None:
         self.scenario = [_MeanAcc() for _ in range(3)]
         self.snr_sf = _MeanAcc()
 
@@ -544,7 +530,7 @@ class _Point:
         """One batch: field powers, desired signals ``s`` in normalized
         units, and the per-realization noise-only success, if any."""
         s_max, s_co, s_inter = _successes(powers, s)
-        s_sf = _joint_success(s_co, s_inter, self.joint_mode)
+        s_sf = s_co * s_inter
         for acc, v in zip(self.scenario, (s_max, s_co, s_sf)):
             acc.add(v)
         if s_snr is not None:
@@ -602,7 +588,7 @@ def success_vs_distance(
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
     pinned = [_pinned(cfg, d_km) for d_km in spec.grid]
-    points = [_Point(spec) for _ in spec.grid]
+    points = [_Point() for _ in spec.grid]
     with _mapper(threads) as run:
         for rings in _ring_batches(cfg, spec.realizations_per_point, spec.seed, run):
             for point, (gain, ring) in zip(points, pinned):
@@ -651,7 +637,7 @@ def coverage_vs_density(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     model = ChannelModel.from_config(cfg, path_loss_form)
-    points = [_Point(spec) for _ in spec.grid]
+    points = [_Point() for _ in spec.grid]
     snr = _MeanAcc()
     batches = _density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed, model)
     for s, s_snr, fields in batches:

@@ -15,7 +15,6 @@ from lora_reliability.analytic import (
     success_from_sir,
     success_from_sir_array,
 )
-from lora_reliability.montecarlo import _joint_success
 
 GAMMA_GRID = (0.01, 0.1, 1.0, 2.0, 10.0, 100.0, 1e4)
 
@@ -156,34 +155,6 @@ def test_success_dominance_under_4x(gamma):
     # the strongest-interferer SIR is at least 4x the sum-based SIR;
     # success must preserve that ordering exactly in floats
     assert success_from_sir(4.0 * gamma) >= success_from_sir(gamma)
-
-
-def _joint(s_co, s_inter, mode="success-product"):
-    return float(_joint_success(np.array([s_co]), np.array([s_inter]), mode)[0])
-
-
-def test_joint_success_product_values():
-    assert _joint(1.0, 1.0) == 1.0
-    assert _joint(0.8, 0.7) == pytest.approx(0.56, rel=1e-12)
-
-
-def test_joint_outage_product_values():
-    assert _joint(1.0, 1.0, "outage-product") == 1.0
-    assert _joint(0.8, 0.7, "outage-product") == pytest.approx(0.94, rel=1e-12)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
-def test_joint_success_product_below_factors(s_co, s_inter):
-    joint = _joint(s_co, s_inter)
-    assert joint <= s_co or math.isclose(joint, s_co)
-    assert joint <= s_inter or math.isclose(joint, s_inter)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
-def test_joint_outage_product_above_factors(s_co, s_inter):
-    joint = _joint(s_co, s_inter, "outage-product")
-    assert joint >= s_co - 1e-15
-    assert joint >= s_inter - 1e-15
 
 
 def test_scenario_probabilities_validation():

@@ -197,7 +197,7 @@ def test_bad_config_value_fails(tmp_path, capsys):
     "args, key",
     [
         (["sweep-distance", "--mean-devices", "nan"], "mean_devices"),
-        (["sweep-density", "--mean-devices", "inf"], "mean_devices"),
+        (["sweep-distance", "--mean-devices", "inf"], "mean_devices"),
         (["sweep-density", "--n-bar-max", "nan"], "n_bar_max"),
         (["sweep-density", "--n-bar-max", "inf"], "n_bar_max"),
     ],
@@ -265,13 +265,6 @@ def test_validate_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_joint_mode_flag_changes_output(capsys):
-    base = ["sweep-distance", "--seed", "4", "--realizations", "200"]
-    _, default_out, _ = run_cli(base, capsys)
-    _, literal_out, _ = run_cli(base + ["--joint-mode", "outage-product"], capsys)
-    assert default_out != literal_out
-
-
 def test_sir_mode_flag_is_rejected(capsys):
     """A mean of SIR draws has no stable value, so no sweep offers one."""
     code, out, err = run_cli(
@@ -280,6 +273,25 @@ def test_sir_mode_flag_is_rejected(capsys):
     assert code == 2
     assert out == ""
     assert "--sir-mode" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        # The product of outages put p_sf above p_co, against the abstract.
+        ("sweep-distance", "--joint-mode", "outage-product"),
+        # The density sweep takes its mean device counts from --n-bar-max.
+        ("sweep-density", "--mean-devices", "5"),
+        # validate checks the model at the default path-loss form.
+        ("validate", "--path-loss-form", "paper_literal"),
+    ],
+)
+def test_removed_flag_is_rejected(command, flag, value, capsys):
+    extra = [] if command == "validate" else ["--realizations", "10"]
+    code, out, err = run_cli([command, *extra, flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 def test_path_loss_form_flag_changes_output(capsys):
