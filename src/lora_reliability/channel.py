@@ -17,25 +17,14 @@ from .params import (
     wavelength_m,
 )
 
-PATH_LOSS_FORMS = ("standard", "paper_literal")
-
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Linear-domain channel constants used by the power computations.
-
-    ``path_loss_form`` selects between the dimensionally consistent
-    free-space gain ``(lambda / (4*pi*d))**eta`` (default) and the literal
-    variant ``lambda / (4*pi*d)**eta`` that applies the exponent to the
-    denominator only.  The two differ by the constant factor lambda**(eta-1)
-    at fixed eta; the standard form is the one that keeps the gain
-    dimensionless.
-    """
+    """Linear-domain channel constants used by the power computations."""
 
     wavelength_m: float
     path_loss_exponent: float
     noise_mw: float
-    path_loss_form: str = "standard"
 
     def __post_init__(self) -> None:
         if self.wavelength_m <= 0:
@@ -46,26 +35,19 @@ class ChannelModel:
             )
         if self.noise_mw <= 0:
             raise ValueError(f"noise_mw must be > 0, got {self.noise_mw}")
-        if self.path_loss_form not in PATH_LOSS_FORMS:
-            raise ValueError(
-                f"path_loss_form must be one of {PATH_LOSS_FORMS}, "
-                f"got {self.path_loss_form!r}"
-            )
 
     @classmethod
-    def from_config(
-        cls, cfg: NetworkConfig, path_loss_form: str = "standard"
-    ) -> "ChannelModel":
+    def from_config(cls, cfg: NetworkConfig) -> "ChannelModel":
         return cls(
             wavelength_m=wavelength_m(cfg),
             path_loss_exponent=cfg.path_loss_exponent,
             noise_mw=dbm_to_mw(noise_floor_dbm(cfg)),
-            path_loss_form=path_loss_form,
         )
 
 
 def path_loss(d_km: float, model: ChannelModel) -> float:
-    """Free-space power gain (dimensionless, in (0, 1] beyond d = lambda/4pi)."""
+    """Free-space power gain ``(lambda / (4*pi*d))**eta`` (dimensionless, in
+    (0, 1] beyond d = lambda/4pi)."""
     if d_km <= 0:
         raise ValueError(f"distance must be > 0 km, got {d_km}")
     return path_loss_array(d_km, model)
@@ -75,8 +57,6 @@ def path_loss_array(d_km: np.ndarray, model: ChannelModel) -> np.ndarray:
     """Vector counterpart of :func:`path_loss` (inputs assumed > 0); on a
     Python float it returns a Python float."""
     d_m = 1000.0 * d_km
-    if model.path_loss_form == "paper_literal":
-        return model.wavelength_m / (4.0 * math.pi * d_m) ** model.path_loss_exponent
     return (model.wavelength_m / (4.0 * math.pi * d_m)) ** model.path_loss_exponent
 
 
@@ -93,16 +73,14 @@ def _success_given_threshold(
     return math.exp(-(noise_mw * theta_linear) / (tx_power_mw * gain))
 
 
-def snr_success_probability(
-    d_km: float, sf: int, cfg: NetworkConfig, path_loss_form: str = "standard"
-) -> float:
+def snr_success_probability(d_km: float, sf: int, cfg: NetworkConfig) -> float:
     """Closed-form probability that a frame at distance ``d_km`` using ``sf``
     survives noise alone (no interference)."""
     if not 0 < d_km <= cfg.cell_radius_km:
         raise ValueError(
             f"distance {d_km} km outside cell (0, {cfg.cell_radius_km}] km"
         )
-    model = ChannelModel.from_config(cfg, path_loss_form)
+    model = ChannelModel.from_config(cfg)
     theta = db_to_linear(sf_params(sf).snr_threshold_db)
     return _success_given_threshold(
         theta, model.noise_mw, dbm_to_mw(cfg.tx_power_dbm), path_loss(d_km, model)
@@ -115,7 +93,6 @@ def snr_success_empirical(
     cfg: NetworkConfig,
     rng: np.random.Generator,
     n: int,
-    path_loss_form: str = "standard",
 ) -> float:
     """Monte Carlo estimate of :func:`snr_success_probability` from ``n``
     fading draws; converges to the closed form as n grows."""
@@ -125,7 +102,7 @@ def snr_success_empirical(
         raise ValueError(
             f"distance {d_km} km outside cell (0, {cfg.cell_radius_km}] km"
         )
-    model = ChannelModel.from_config(cfg, path_loss_form)
+    model = ChannelModel.from_config(cfg)
     theta = db_to_linear(sf_params(sf).snr_threshold_db)
     # SNR >= theta  <=>  fading >= noise * theta / (power * gain)
     fading_threshold = (model.noise_mw * theta) / (

@@ -14,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import analytic, montecarlo
-from .channel import PATH_LOSS_FORMS, ChannelModel, snr_success_probability
+from .channel import ChannelModel, snr_success_probability
 from .geometry import annulus_to_sf, sample_realization
 from .interference import sir_sample, split_interference_power
 from .params import (
@@ -66,14 +66,15 @@ def _load_file_values(path: str | None) -> dict[str, float | int]:
 
 
 def _build_config(args: argparse.Namespace) -> tuple[NetworkConfig, dict[str, float | int]]:
-    """Table-default < config file < flags < env-var seed fallback."""
+    """Table-default < config file < flags < env-var seed fallback; the
+    fallback applies only to commands that take --seed."""
     file_values = _load_file_values(getattr(args, "config", None))
     values = dict(file_values)
     if getattr(args, "mean_devices", None) is not None:
         values["mean_devices"] = args.mean_devices
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
-    elif "seed" not in values and os.environ.get(SEED_ENV_VAR):
+    elif "seed" in args and "seed" not in values and os.environ.get(SEED_ENV_VAR):
         raw = os.environ[SEED_ENV_VAR]
         try:
             values["seed"] = int(raw)
@@ -108,7 +109,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         realizations_per_point=_resolve_realizations(args, cfg, file_values),
         seed=cfg.seed,
     )
-    points = sweep(cfg, spec, path_loss_form=args.path_loss_form, threads=args.threads)
+    points = sweep(cfg, spec, threads=args.threads)
     _emit(curve_to_csv(points, abscissa_name), args.out)
     return 0
 
@@ -119,6 +120,9 @@ def _cmd_closed_form(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if by_gamma == by_distance:
         parser.error("give exactly one of --gamma-bar or --distance with --sf")
     if by_gamma:
+        if args.config is not None:
+            # The outage closed form reads no network parameter.
+            parser.error("--gamma-bar takes no --config")
         if args.gamma_bar < 0:
             parser.error(f"--gamma-bar must be >= 0, got {args.gamma_bar}")
         outage = analytic.outage_closed_form(args.gamma_bar)
@@ -130,7 +134,7 @@ def _cmd_closed_form(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if args.distance is None or args.sf is None:
         parser.error("--distance and --sf must be given together")
     cfg, _ = _build_config(args)
-    p = snr_success_probability(args.distance, args.sf, cfg, args.path_loss_form)
+    p = snr_success_probability(args.distance, args.sf, cfg)
     sys.stdout.write(f"d_km={_fmt(args.distance)} sf={args.sf} p_snr={_fmt(p)}\n")
     return 0
 
@@ -255,19 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
             "Monte Carlo sweep engine."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
-    # validate checks the model at its default form, so it takes no form.
-    form = argparse.ArgumentParser(add_help=False)
-    form.add_argument(
-        "--path-loss-form",
-        choices=PATH_LOSS_FORMS,
-        default="standard",
-        help="free-space gain variant (default: standard)",
-    )
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="key = value config file")
+    # closed-form makes no random draw, so it takes no seed.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
 
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common, form])
+    sweep = argparse.ArgumentParser(add_help=False, parents=[config, seeded])
     sweep.add_argument(
         "--realizations", type=int, metavar="N", help="realizations per sweep point"
     )
@@ -310,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cf = sub.add_parser(
         "closed-form",
-        parents=[common, form],
+        parents=[config],
         help="evaluate the outage closed form or the noise-only success",
     )
     p_cf.add_argument("--gamma-bar", type=float, help="mean SIR (linear)")
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser(
         "validate",
-        parents=[common],
+        parents=[config, seeded],
         help="run the closed-form oracle suite and invariant checks",
     )
     p_val.set_defaults(func=_cmd_validate)

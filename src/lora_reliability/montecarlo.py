@@ -43,10 +43,10 @@ draws come from a copy of the batch generator advanced past the position
 draws.
 
 The kernel works in normalized units.  Every scenario SIR is a ratio of
-received powers ``tx * fading * gain(d)``, and both path-loss forms give
+received powers ``tx * fading * gain(d)``, and the free-space gain is
 ``gain(d) = C * d**(-eta)`` with a constant ``C``, so the transmit power,
-wavelength, ``4*pi``, the km-to-m factor and the path-loss form cancel.  A
-device at uniform-by-area draw ``u`` enters with its clamped area fraction
+wavelength, ``4*pi`` and the km-to-m factor cancel.  A device at
+uniform-by-area draw ``u`` enters with its clamped area fraction
 ``v = max(u, (d_min/R)**2) = (d/R)**2`` as ``fading * v**(-eta/2)``.  Its
 annulus is the one of the sub-field that drew it, or, in a whole-cell draw,
 is read off ``v`` against the squared ring starts ``_RING_U``.  The
@@ -571,7 +571,6 @@ def success_vs_distance(
     cfg: NetworkConfig,
     spec: SweepSpec,
     *,
-    path_loss_form: str = "standard",
     threads: int = 1,
 ) -> list[CurvePoint]:
     """Per-scenario success probability at each grid distance, with the
@@ -595,9 +594,7 @@ def success_vs_distance(
                 fading, powers = rings[ring]
                 point.add(powers, gain * fading)
     return [
-        point.result(
-            d_km, snr_success_probability(d_km, SF_MIN + ring, cfg, path_loss_form)
-        )
+        point.result(d_km, snr_success_probability(d_km, SF_MIN + ring, cfg))
         for point, d_km, (_, ring) in zip(points, spec.grid, pinned)
     ]
 
@@ -606,7 +603,6 @@ def coverage_vs_density(
     cfg: NetworkConfig,
     spec: SweepSpec,
     *,
-    path_loss_form: str = "standard",
     threads: int = 1,
 ) -> list[CurvePoint]:
     """Per-scenario coverage probability at each mean device count: the
@@ -636,7 +632,7 @@ def coverage_vs_density(
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    model = ChannelModel.from_config(cfg, path_loss_form)
+    model = ChannelModel.from_config(cfg)
     points = [_Point() for _ in spec.grid]
     snr = _MeanAcc()
     batches = _density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed, model)

@@ -18,13 +18,8 @@ from lora_reliability.geometry import annulus_to_sf
 from lora_reliability.params import NetworkConfig
 
 
-def _model(wavelength=0.34534, eta=2.7, noise=1e-12, form="standard"):
-    return ChannelModel(
-        wavelength_m=wavelength,
-        path_loss_exponent=eta,
-        noise_mw=noise,
-        path_loss_form=form,
-    )
+def _model(wavelength=0.34534, eta=2.7, noise=1e-12):
+    return ChannelModel(wavelength_m=wavelength, path_loss_exponent=eta, noise_mw=noise)
 
 
 def test_path_loss_is_one_at_base_distance():
@@ -42,15 +37,6 @@ def test_path_loss_inverse_square():
 def test_path_loss_reference_value():
     # (0.34534 / (4 pi * 1000 m))^2.7, evaluated independently
     assert path_loss(1.0, _model()) == pytest.approx(4.846184628679374e-13, rel=1e-10)
-
-
-def test_path_loss_paper_literal_form():
-    m = _model(form="paper_literal")
-    expected = 0.34534 / math.exp(2.7 * math.log(4.0 * math.pi * 1000.0))
-    assert path_loss(1.0, m) == pytest.approx(expected, rel=1e-12)
-    # the two forms differ by the constant factor wavelength^(eta-1)
-    ratio = path_loss(1.0, _model()) / path_loss(1.0, m)
-    assert ratio == pytest.approx(0.34534 ** 1.7, rel=1e-10)
 
 
 def test_path_loss_rejects_nonpositive_distance():
@@ -87,8 +73,6 @@ def test_channel_model_validation():
         _model(eta=0.0)
     with pytest.raises(ValueError):
         _model(noise=0.0)
-    with pytest.raises(ValueError):
-        _model(form="hata")
 
 
 def test_channel_model_from_config():

@@ -55,6 +55,27 @@ def test_closed_form_rejects_negative_gamma(capsys):
     assert code != 0
 
 
+def test_closed_form_gamma_rejects_config(tmp_path, capsys):
+    cfg_path = tmp_path / "net.cfg"
+    cfg_path.write_text("seed = 1\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["closed-form", "--gamma-bar", "2", "--config", str(cfg_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--config" in err
+
+
+def test_closed_form_ignores_seed_env(monkeypatch, capsys):
+    args = ["closed-form", "--distance", "6", "--sf", "9"]
+    monkeypatch.delenv("LORA_REL_SEED", raising=False)
+    _, unset, _ = run_cli(args, capsys)
+    monkeypatch.setenv("LORA_REL_SEED", "not-a-seed")
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == unset
+
+
 def test_sweep_distance_csv_shape(capsys):
     code, out, _ = run_cli(
         ["sweep-distance", "--seed", "1", "--realizations", "200"], capsys
@@ -265,40 +286,34 @@ def test_validate_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_sir_mode_flag_is_rejected(capsys):
-    """A mean of SIR draws has no stable value, so no sweep offers one."""
-    code, out, err = run_cli(
-        ["sweep-distance", "--realizations", "10", "--sir-mode", "mean-sir"], capsys
-    )
-    assert code == 2
-    assert out == ""
-    assert "--sir-mode" in err
-
-
 @pytest.mark.parametrize(
     "command, flag, value",
     [
+        # A mean of SIR draws has no stable value, so no sweep offers one.
+        ("sweep-distance", "--sir-mode", "mean-sir"),
         # The product of outages put p_sf above p_co, against the abstract.
         ("sweep-distance", "--joint-mode", "outage-product"),
         # The density sweep takes its mean device counts from --n-bar-max.
         ("sweep-density", "--mean-devices", "5"),
-        # validate checks the model at the default path-loss form.
+        # The free-space gain has one form; the literal variant's constant
+        # lambda**(1 - eta) depends on the length unit.
+        ("sweep-distance", "--path-loss-form", "paper_literal"),
+        ("sweep-density", "--path-loss-form", "paper_literal"),
+        ("closed-form", "--path-loss-form", "paper_literal"),
         ("validate", "--path-loss-form", "paper_literal"),
+        # closed-form makes no random draw.
+        ("closed-form", "--seed", "9"),
     ],
 )
 def test_removed_flag_is_rejected(command, flag, value, capsys):
-    extra = [] if command == "validate" else ["--realizations", "10"]
+    extra = {
+        "validate": [],
+        "closed-form": ["--distance", "6", "--sf", "9"],
+    }.get(command, ["--realizations", "10"])
     code, out, err = run_cli([command, *extra, flag, value], capsys)
     assert code == 2
     assert out == ""
     assert flag in err
-
-
-def test_path_loss_form_flag_changes_output(capsys):
-    base = ["closed-form", "--distance", "6", "--sf", "9"]
-    _, standard, _ = run_cli(base, capsys)
-    _, literal, _ = run_cli(base + ["--path-loss-form", "paper_literal"], capsys)
-    assert standard != literal
 
 
 def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):

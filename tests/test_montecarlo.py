@@ -203,27 +203,6 @@ def test_sampler_arrays_independent_of_chunk_size(monkeypatch, chunk, batch):
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind", ["distance", "density"])
-def test_interference_columns_independent_of_path_loss_form(kind):
-    """Every SIR is a ratio of received powers, so the path-loss form, which
-    scales them all by one constant, moves only the noise columns."""
-    cfg = NetworkConfig()
-    if kind == "distance":
-        spec = _distance_spec(default_distance_grid(cfg, 12), n=5000, seed=42)
-        sweep = success_vs_distance
-    else:
-        spec = _density_spec((0.0,) + default_density_grid(3000.0, 6), seed=42)
-        sweep = coverage_vs_density
-
-    def interference_columns(form):
-        return [
-            (p.p_max_co, p.p_co, p.p_sf, se.p_max_co, se.p_co, se.p_sf)
-            for p, se in ((pt.probs, pt.stderr) for pt in sweep(cfg, spec, path_loss_form=form))
-        ]
-
-    assert interference_columns("standard") == interference_columns("paper_literal")
-
-
 def test_kernel_memory_bounded_by_chunk():
     # About 4e6 active interferers in one 4096-realization batch, and then in
     # one realization alone; without chunking the nested-field sampler holds
