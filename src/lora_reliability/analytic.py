@@ -4,7 +4,8 @@ SIR, with the per-scenario result container.
 
 A quadrature routine integrates the error rate against the exponential SIR
 density directly and serves as an independent cross-check of the closed
-form.
+form.  It is the only user of scipy, which it imports when called, so
+importing the package and running the sweeps load numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,7 +44,7 @@ class ScenarioProbabilities:
 def q_function(x: float) -> float:
     """Gaussian tail probability P[N(0,1) > x], via the complementary error
     function; accurate to well below 1e-12 absolute on [-8, 8]."""
-    return 0.5 * float(special.erfc(x / _SQRT2))
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def q_bound(x: float) -> float:
@@ -101,12 +101,14 @@ def outage_numeric_oracle(
     bound and therefore upper-bounds the exact mode.  Kept deliberately
     independent of the closed form so it can serve as its cross-check.
     """
+    from scipy import integrate
+
     if gamma_bar <= 0:
         raise ValueError(f"mean SIR must be > 0, got {gamma_bar}")
     if not 0 < rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
     if error_rate == "exact":
-        rate = lambda a: 0.5 * special.erfc(math.sqrt(a) / _SQRT2)  # noqa: E731
+        rate = lambda a: 0.5 * math.erfc(math.sqrt(a) / _SQRT2)  # noqa: E731
     elif error_rate == "bound":
         rate = lambda a: 0.5 * math.exp(-0.5 * a)  # noqa: E731
     else:

@@ -55,9 +55,19 @@ physical gain is computed only where noise needs it: the noise-only success
 realization's instantaneous SIR is substituted into the coherent-FSK outage
 closed form and the successes are averaged, but the point step never forms
 the SIR: a success ``1 - outage(g)`` depends on the SIR ``g = c * s / P``
-only through ``1 / (1 + 2/g) = s / (s + (2/c) * P)``, so it is computed
-straight from the desired signal ``s`` and the field power ``P``
-(:func:`_successes`).
+only through ``1 / (1 + 2/g) = s / (s + (2/c) * P)``.  With the desired
+signal ``s = G * f`` of gain ``G`` and fading ``f``, that is
+``q = G / (G + y)`` with the scaled power ``y = (2/c) * P / f``
+(:func:`_scaled`).  One evaluator serves both sweeps (:func:`_evaluate`).
+It keeps per-point raw sums in doubled units: ``u = 1 + sqrt(q)`` is twice
+a success and ``t = u_co * u_inter`` four times the joint one, and the
+factors 1/2 and 1/4 go on the finished means, so the scenario order
+``p_snr_sf <= p_sf <= p_co <= p_max_co`` holds exactly.  The distance sweep
+computes ``y`` once per (annulus, batch), since the grid points of one
+annulus read the same ``P`` and ``f`` and differ only in ``G``, and
+evaluates those points together in row blocks of at most ``_BLOCK``
+elements, on the calling thread; the density sweep evaluates each point as
+one row with ``f = 1`` and ``G = s``.
 
 The interference field is sampled in its thinned form: instead of drawing
 Poisson(mean_devices) candidates and keeping each with the duty-cycle
@@ -99,6 +109,11 @@ _BATCH = 4096
 # keeps its working set in cache.  Not part of the stream contract; the
 # kernel reads it at call time.
 _CHUNK = 1 << 15
+
+# Elements per block of the point step: the distance sweep evaluates the
+# points of one annulus together, as many rows of a batch as fit.  Not part
+# of the stream contract: a point's sums are the same at any block size.
+_BLOCK = 5 * _BATCH
 
 # Stream tags keep the generator families of the different draw purposes
 # disjoint.  The density sweep samples the desired devices' distances and
@@ -197,31 +212,13 @@ def default_density_grid(
     return tuple(float(x) for x in grid)
 
 
-class _MeanAcc:
-    """Running mean/standard-error accumulator, fed in batch order."""
-
-    __slots__ = ("count", "total", "total_sq")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, values: np.ndarray) -> None:
-        self.count += values.size
-        self.total += float(values.sum())
-        self.total_sq += float((values * values).sum())
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count
-
-    @property
-    def stderr(self) -> float:
-        if self.count < 2:
-            return 0.0
-        var = (self.total_sq - self.total * self.total / self.count) / (self.count - 1)
-        return math.sqrt(max(var, 0.0) / self.count)
+def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Mean and standard error of ``n`` values from their sum and sum of
+    squares."""
+    if n < 2:
+        return total / n, 0.0
+    var = (total_sq - total * total / n) / (n - 1)
+    return total / n, math.sqrt(max(var, 0.0) / n)
 
 
 def _batches(n: int) -> list[tuple[int, int]]:
@@ -364,9 +361,9 @@ def _draw(
 def _desired_fading(rng: np.random.Generator, batch: int) -> np.ndarray:
     """One batch of desired-device fading: exponential draws raised to at
     least the smallest normal double.  A draw is exactly 0 with probability
-    about 2**-53; the clamp keeps every desired signal ``gain * fading``
-    positive, since every gain is at least 1, so :func:`_successes` never
-    divides 0 by 0."""
+    about 2**-53; the clamp keeps every scaled power ``k * P / fading``
+    (:func:`_scaled`) from 0/0 where the field is empty, and every desired
+    signal ``gain * fading`` positive, since every gain is at least 1."""
     fading = rng.standard_exponential(batch)
     return np.maximum(fading, np.finfo(float).tiny, out=fading)
 
@@ -436,26 +433,106 @@ def _sirs(
     )
 
 
-def _successes(
-    powers: tuple[np.ndarray, np.ndarray, np.ndarray], s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three scenario successes ``1 - outage(SIR)`` of desired
-    signals ``s > 0`` against one batch of field powers (strongest co-SF
-    term, co-SF sum, inter-SF sum), as ``0.5 + 0.5 * sqrt(s / (s + k * P))``: with
-    the SIR ``g = c * s / P``, ``k = 2 / c``, and ``c`` is
-    ``CO_CHANNEL_REJECTION`` for the strongest term and 1 for the sums.  An
-    empty interferer set (``P = 0``) gives exactly 1, the success at
-    infinite SIR."""
-    out = []
-    for k, power in zip((2.0 / CO_CHANNEL_REJECTION, 2.0, 2.0), powers):
-        q = k * power
-        q += s
-        np.divide(s, q, out=q)
-        np.sqrt(q, out=q)
-        q *= 0.5
-        q += 0.5
-        out.append(q)
-    return tuple(out)
+def _scaled(
+    powers: tuple[np.ndarray, np.ndarray, np.ndarray],
+    fading: np.ndarray | None,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write the point step's scaled powers ``y = k * P / f`` of one batch
+    of field powers (strongest co-SF term, co-SF sum, inter-SF sum) into
+    ``out[0]``, ``out[1]`` and ``out[2]``, and return ``out``: ``k = 2 / c``,
+    ``c`` is ``CO_CHANNEL_REJECTION`` for the strongest term and 1 for the
+    sums, and ``f`` is the desired fading, or 1 where ``fading`` is None.
+    A desired signal ``s = g * f`` of gain ``g`` then has the success
+    ``(1 + sqrt(g / (g + y))) / 2`` (:func:`_evaluate`).  ``k * P`` is
+    exact, and the strongest term is at most the co-SF sum, so ``y`` of the
+    strongest term is at most ``y`` of the co-SF sum, elementwise and
+    exactly."""
+    for k, power, y in zip((2.0 / CO_CHANNEL_REJECTION, 2.0, 2.0), powers, out):
+        np.multiply(power, k, out=y)
+    if fading is not None:
+        # A fading near the smallest double can overflow y to inf, which
+        # gives the success 1/2 of an infinite power-to-signal ratio.
+        with np.errstate(over="ignore"):
+            np.divide(out, fading, out=out)
+    return out
+
+
+def _evaluate(
+    y: np.ndarray,
+    g: np.ndarray,
+    sums: np.ndarray,
+    scratch: np.ndarray,
+    s_snr: np.ndarray | None = None,
+) -> None:
+    """Add one batch's raw success sums to ``sums``, one row per point, in
+    doubled units: ``u = 1 + sqrt(q)`` is twice a success,
+    ``t = u_co * u_inter`` four times the joint success and, with
+    ``s_snr``, the per-realization noise-only success, ``x = s_snr * t``
+    four times its product with the noise-only success.  The columns are
+    ``sum(q_max), sum(q_co), sum(u_max), sum(u_co), sum(t), sum(t**2)``,
+    then ``sum(x), sum(x**2)`` with ``s_snr``.
+
+    ``y`` holds the scaled powers of :func:`_scaled`, one scenario per
+    entry of its first axis, and ``g`` the gains.  Each ``y[j]`` and ``g``
+    broadcast to one block of shape ``g.shape[:-1] + y.shape[-1:]``: a
+    column of the points' gains, ``(points, 1)``, against ``y`` of shape
+    ``(3, 1, realizations)``, or one point's per-realization gains,
+    ``(realizations,)``, against ``(3, realizations)``.  On the block
+    ``q = g / (g + y)`` is computed in place, so a success is
+    ``(1 + sqrt(q)) / 2`` and an empty interferer set (``y = 0``, ``g > 0``)
+    gives exactly 1.  ``scratch`` is a ``(3, m)`` work array, ``m`` at
+    least the block's element count, reused across calls to spare an
+    allocation per block.  Each row's sums are taken along the last axis,
+    so they are the same however the rows are grouped into blocks.  The
+    factors 1/2 and 1/4 are left to the finished means
+    (:func:`_curve_point`), where the second moment of ``u`` is
+    ``2 * sum(u) - n + sum(q)``, since ``u**2 = 2*u - 1 + q``.
+    """
+    shape = g.shape[:-1] + y.shape[-1:]
+    q = scratch[:, : math.prod(shape)].reshape(3, *shape)
+    part = np.empty(sums.shape[-1:] + shape[:-1])
+    np.add(g, y, out=q)
+    np.divide(g, q, out=q)
+    np.add.reduce(q[:2], axis=-1, out=part[0:2])
+    np.sqrt(q, out=q)
+    q += 1.0
+    np.add.reduce(q[:2], axis=-1, out=part[2:4])
+    u_max, t, u_inter = q
+    t *= u_inter
+    np.add.reduce(t, axis=-1, out=part[4, ...])
+    np.add.reduce(np.multiply(t, t, out=u_inter), axis=-1, out=part[5, ...])
+    if s_snr is not None:
+        x = np.multiply(t, s_snr, out=u_max)
+        np.add.reduce(x, axis=-1, out=part[6, ...])
+        np.add.reduce(np.multiply(x, x, out=x), axis=-1, out=part[7, ...])
+    sums += part.T
+
+
+def _curve_point(
+    abscissa: float, sums: np.ndarray, n: int, p_snr: float, se_snr: float = 0.0
+) -> CurvePoint:
+    """One point's means and standard errors from its raw sums over ``n``
+    realizations (:func:`_evaluate`), with the noise-only success ``p_snr``
+    and its standard error.  The doubled units are halved (quartered for
+    ``t`` and ``x``) in the finished scalars, exactly, so the order
+    ``u_max >= u_co``, ``t <= 2 * u_co`` and ``x <= t`` of every
+    realization gives ``p_max_co >= p_co >= p_sf >= p_snr_sf`` exactly."""
+    q_max, q_co, u_max, u_co, t, t_sq, *x = sums.tolist()
+    p_max, se_max = _mean_se(u_max, 2.0 * u_max - n + q_max, n)
+    p_co, se_co = _mean_se(u_co, 2.0 * u_co - n + q_co, n)
+    p_sf, se_sf = _mean_se(t, t_sq, n)
+    # A random desired position couples noise and interference, so their
+    # per-realization product is averaged there.
+    if x:
+        p_snr_sf, se_snr_sf = (0.25 * v for v in _mean_se(*x, n))
+    else:
+        p_snr_sf, se_snr_sf = p_snr * (0.25 * p_sf), p_snr * (0.25 * se_sf)
+    return CurvePoint(
+        abscissa=abscissa,
+        probs=ScenarioProbabilities(p_snr, 0.5 * p_max, 0.5 * p_co, 0.25 * p_sf, p_snr_sf),
+        stderr=ScenarioProbabilities(se_snr, 0.5 * se_max, 0.5 * se_co, 0.25 * se_sf, se_snr_sf),
+    )
 
 
 def _pinned(cfg: NetworkConfig, d_km: float) -> tuple[float, int]:
@@ -508,52 +585,6 @@ def _density_batches(
         yield s, s_snr, _nested_field_powers(draws, annulus, steps, cfg)
 
 
-class _Point:
-    """The running sums of one sweep point, fed batch by batch: the success
-    sums of max_co, co and sf (the product of the co and inter successes)
-    and, with a per-realization noise-only success, the sums of its product
-    with sf.
-    """
-
-    __slots__ = ("scenario", "snr_sf")
-
-    def __init__(self) -> None:
-        self.scenario = [_MeanAcc() for _ in range(3)]
-        self.snr_sf = _MeanAcc()
-
-    def add(
-        self,
-        powers: tuple[np.ndarray, np.ndarray, np.ndarray],
-        s: np.ndarray,
-        s_snr: np.ndarray | None = None,
-    ) -> None:
-        """One batch: field powers, desired signals ``s`` in normalized
-        units, and the per-realization noise-only success, if any."""
-        s_max, s_co, s_inter = _successes(powers, s)
-        s_sf = s_co * s_inter
-        for acc, v in zip(self.scenario, (s_max, s_co, s_sf)):
-            acc.add(v)
-        if s_snr is not None:
-            self.snr_sf.add(s_snr * s_sf)
-
-    def result(self, abscissa: float, p_snr: float, se_snr: float = 0.0) -> CurvePoint:
-        """The point's means and standard errors, with the noise-only
-        success ``p_snr`` and its standard error."""
-        p_max, p_co, p_sf = (acc.mean for acc in self.scenario)
-        se_max, se_co, se_sf = (acc.stderr for acc in self.scenario)
-        # A random desired position couples noise and interference, so their
-        # per-realization product is averaged there.
-        if self.snr_sf.count:
-            p_snr_sf, se_snr_sf = self.snr_sf.mean, self.snr_sf.stderr
-        else:
-            p_snr_sf, se_snr_sf = p_snr * p_sf, p_snr * se_sf
-        return CurvePoint(
-            abscissa=abscissa,
-            probs=ScenarioProbabilities(p_snr, p_max, p_co, p_sf, p_snr_sf),
-            stderr=ScenarioProbabilities(se_snr, se_max, se_co, se_sf, se_snr_sf),
-        )
-
-
 @contextlib.contextmanager
 def _mapper(threads: int) -> Iterator[Callable]:
     """``map`` for one thread, else the ``map`` of a pool of ``threads``
@@ -583,19 +614,39 @@ def success_vs_distance(
     depends only on its distance, the seed and the realization count, not
     on the rest of the grid, and all points are positively correlated,
     those of one annulus most.
+
+    ``threads`` workers draw the sub-fields; the points are evaluated on the
+    calling thread, each annulus's points together, in row blocks that share
+    the annulus's scaled powers (:func:`_scaled`, :func:`_evaluate`).
     """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
     pinned = [_pinned(cfg, d_km) for d_km in spec.grid]
-    points = [_Point() for _ in spec.grid]
+    gains = np.array([[gain] for gain, _ in pinned])
+    # The grid's points of annulus k are rows starts[k]:starts[k + 1].
+    starts = np.searchsorted([ring for _, ring in pinned], np.arange(7)).tolist()
+    sums = np.zeros((len(pinned), 6))
+    # A block holds at most max(_BLOCK, batch) elements, and at most one
+    # batch of each point of the annulus.
+    widest = max(hi - lo for lo, hi in zip(starts, starts[1:]))
+    scratch = np.empty((3, min(max(_BLOCK, _BATCH), widest * _BATCH)))
+    y = np.empty((3, _BATCH))
     with _mapper(threads) as run:
         for rings in _ring_batches(cfg, spec.realizations_per_point, spec.seed, run):
-            for point, (gain, ring) in zip(points, pinned):
-                fading, powers = rings[ring]
-                point.add(powers, gain * fading)
+            rows = max(1, _BLOCK // rings[0][0].size)
+            for ring, (fading, powers) in enumerate(rings):
+                lo, hi = starts[ring], starts[ring + 1]
+                if lo == hi:
+                    continue
+                # One row of realizations per scenario, against a column of gains.
+                y_ring = _scaled(powers, fading, y[:, : fading.size])[:, np.newaxis]
+                for row in range(lo, hi, rows):
+                    block = slice(row, min(row + rows, hi))
+                    _evaluate(y_ring, gains[block], sums[block], scratch)
+    n = spec.realizations_per_point
     return [
-        point.result(d_km, snr_success_probability(d_km, SF_MIN + ring, cfg))
-        for point, d_km, (_, ring) in zip(points, spec.grid, pinned)
+        _curve_point(d_km, row, n, snr_success_probability(d_km, SF_MIN + ring, cfg))
+        for row, d_km, (_, ring) in zip(sums, spec.grid, pinned)
     ]
 
 
@@ -633,14 +684,18 @@ def coverage_vs_density(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     model = ChannelModel.from_config(cfg)
-    points = [_Point() for _ in spec.grid]
-    snr = _MeanAcc()
+    sums = np.zeros((len(spec.grid), 8))
+    snr = np.zeros(2)
+    scratch = np.empty((3, _BATCH))
+    y = np.empty((3, _BATCH))
     batches = _density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed, model)
     for s, s_snr, fields in batches:
-        snr.add(s_snr)
-        for point, powers in zip(points, fields):
-            point.add(powers, s, s_snr)
-    return [point.result(n_bar, snr.mean, snr.stderr) for point, n_bar in zip(points, spec.grid)]
+        snr += s_snr.sum(), (s_snr * s_snr).sum()
+        for row, powers in zip(sums, fields):
+            _evaluate(_scaled(powers, None, y[:, : s.size]), s, row, scratch, s_snr)
+    n = spec.realizations_per_point
+    p_snr, se_snr = _mean_se(*snr, n)
+    return [_curve_point(n_bar, row, n, p_snr, se_snr) for row, n_bar in zip(sums, spec.grid)]
 
 
 def estimate_mean_sir(

@@ -1,10 +1,15 @@
 import csv
 import importlib.util
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import lora_reliability
 from lora_reliability.cli import main
 
 DISTANCE_HEADER = "d_km,p_snr,p_max_co,p_co,p_sf,p_snr_sf,se_snr,se_max_co,se_co,se_sf,se_snr_sf"
@@ -181,6 +186,24 @@ def test_config_file_realizations_key_controls_run_size(tmp_path, capsys):
     assert len(out.splitlines()) == 121  # runs (fast) with the configured count
 
 
+def test_config_seed_beyond_float_precision_matches_flag(tmp_path, capsys):
+    # 2**53 + 1 is the first integer a float cannot hold.
+    cfg_path = tmp_path / "seed.cfg"
+    cfg_path.write_text("seed = 9007199254740993\n", encoding="utf-8")
+    _, by_flag, _ = run_cli(
+        ["sweep-distance", "--seed", "9007199254740993", "--realizations", "50"], capsys
+    )
+    code, by_file, _ = run_cli(
+        ["sweep-distance", "--config", str(cfg_path), "--realizations", "50"], capsys
+    )
+    assert code == 0
+    assert by_file == by_flag
+    _, rounded, _ = run_cli(
+        ["sweep-distance", "--seed", "9007199254740992", "--realizations", "50"], capsys
+    )
+    assert rounded != by_flag
+
+
 def test_realizations_precedence(tmp_path, capsys):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text("realizations = 64\nseed = 6\n", encoding="utf-8")
@@ -332,3 +355,33 @@ def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):
         code, out, _ = run_cli([command] + flags + extra, capsys)
         assert code == 0
         assert (tmp_path / "script" / name).read_bytes() == out.encode()
+
+
+def test_sweeps_and_cli_do_not_load_scipy():
+    """Only the quadrature oracle needs scipy, and it imports it when
+    called; a fresh interpreter runs the import, a small sweep of each kind
+    and the command line without loading it."""
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import lora_reliability as lr
+        from lora_reliability import cli
+
+        cfg = lr.NetworkConfig()
+        spec = lr.SweepSpec("distance", (1.0, 7.0), 100, 1)
+        lr.success_vs_distance(cfg, spec, threads=2)
+        lr.coverage_vs_density(cfg, lr.SweepSpec("density", (0.0, 10.0), 100, 1))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep-distance", "--realizations", "20", "--seed", "1"]) == 0
+            assert cli.main(["sweep-density", "--realizations", "20", "--seed", "1"]) == 0
+            assert cli.main(["closed-form", "--distance", "6", "--sf", "9"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = str(Path(lora_reliability.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -41,10 +41,10 @@ REALIZATIONS = 5000
 # an AVX-512 kernel; the AVX2 (X86_V3) and baseline (X86_V2) kernels give
 # the same bytes.  The distance CSV is the same in all three families.
 GOLDEN = {
-    "distance": "5c15399db7ce2bcc4027da1637f5b345e6f70f81a56a0ea2fc15b3f9eb94ed08",
+    "distance": "5eff646259b2326b45852d068db8acdb67ab3272830fc5d701a024ea685c4dc0",
     "density": {
-        True: "5f89541d20b97430875e088b6990943e80e4beb565512c367ce15aea3b7b8ad3",
-        False: "ee7602df6072b69ef5756b5c1b4bb03a58b5d396c711e1d1cc119aa06e151591",
+        True: "83307d2997d5da8637b29bed8a1a43fcbf39685addc7421d291b3d2400bf02a9",
+        False: "93199bc0aefa9683e9ba5545946393f2d7a15b0260bf10f092487704f5b4adc8",
     },
 }
 

@@ -2,8 +2,9 @@
 sub-field) and ``montecarlo._nested_field_powers`` (whole-cell increments
 split by the ring test), with the point step's divisions
 ``montecarlo._sirs``, against the physical-unit arithmetic they replaced,
-and their ring rule at the ring starts; and the point step's success
-transform ``montecarlo._successes`` against the SIR path it replaced.
+and their ring rule at the ring starts; and the point step's evaluator
+``montecarlo._evaluate``, in both of its forms, against the SIR path it
+replaced.
 
 The samplers work in normalized units: an interferer at area fraction
 ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading``.  The
@@ -212,12 +213,40 @@ def test_ring_intervals_partition_the_clamped_cell(d_min_km):
 TINY = np.finfo(float).tiny
 
 
+def _column(values):
+    return np.asarray(values, dtype=float).reshape(-1, 1)
+
+
+def _raw_sums(powers, g, fading=None, s_snr=None):
+    """The evaluator's raw sums with one realization per row, so each row's
+    sums are that realization's values: ``u = 1 + sqrt(q)`` of max_co in
+    column 2, of co in column 3, and ``t = u_co * u_inter`` in column 4."""
+    powers = tuple(_column(p) for p in powers)
+    g = _column(g)
+    n = g.shape[0]
+    y = montecarlo._scaled(powers, None if fading is None else _column(fading), np.empty((3, n, 1)))
+    sums = np.zeros((n, 6 if s_snr is None else 8))
+    snr = None if s_snr is None else _column(s_snr)
+    montecarlo._evaluate(y, g, sums, np.empty((3, n)), snr)
+    return sums
+
+
+def _successes(powers, g, fading=None):
+    """The three scenario successes per realization, from the evaluator:
+    max_co and co from one call, and inter from a second with the co-SF and
+    inter-SF powers swapped, which scale alike."""
+    strongest, co_power, inter_power = powers
+    first = _raw_sums(powers, g, fading)
+    second = _raw_sums((strongest, inter_power, co_power), g, fading)
+    return 0.5 * first[:, 2], 0.5 * first[:, 3], 0.5 * second[:, 3]
+
+
 def test_successes_without_interferers_or_desired_signal():
     zeros = np.zeros(3)
-    for success in montecarlo._successes((zeros, zeros, zeros), np.array([TINY, 1.0, 1e11])):
+    for success in _successes((zeros, zeros, zeros), np.array([TINY, 1.0, 1e11])):
         assert success.tolist() == [1.0, 1.0, 1.0]
     ones = np.ones(1)
-    for success in montecarlo._successes((ones, ones, ones), np.array([TINY])):
+    for success in _successes((ones, ones, ones), np.array([TINY])):
         assert success.tolist() == [0.5]
 
 
@@ -229,22 +258,48 @@ def test_desired_fading_floor_is_the_smallest_normal_double():
     assert montecarlo._desired_fading(ZeroDraws(), 3).tolist() == [TINY, TINY, 1.0]
 
 
-def test_successes_match_the_sir_path():
-    # Signal-to-power ratios from 1e-12 to 1e12, and a tenth empty sets.
-    rng = np.random.default_rng(2024)
-    n = 100_000
-    s = 10.0 ** rng.uniform(-6.0, 6.0, n)
+def _sir_path_case(rng, n, s):
+    """Powers at signal-to-power ratios from 1e-12 to 1e12, a tenth of them
+    empty sets, and the successes of their SIRs."""
     powers = []
     for _ in range(3):
         power = s * 10.0 ** rng.uniform(-12.0, 12.0, n)
         power[rng.random(n) < 0.1] = 0.0
         powers.append(power)
-    sir_path = [success_from_sir_array(g) for g in montecarlo._sirs(powers, s)]
-    for new, old in zip(montecarlo._successes(powers, s), sir_path):
+    return powers, [success_from_sir_array(g) for g in montecarlo._sirs(powers, s)]
+
+
+def test_successes_match_the_sir_path():
+    # The density form: y = k * P, g = s.
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    s = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    powers, sir_path = _sir_path_case(rng, n, s)
+    for new, old in zip(_successes(powers, s), sir_path):
         assert np.max(np.abs(new - old)) <= 4.5e-16
 
 
+def test_scaled_successes_match_the_sir_path():
+    """The distance form: y = k * P / f with the desired fading f, and the
+    point's gain g, against the SIR of s = g * f.  Measured on these draws:
+    at most 2.2e-16 (one ulp of 1) in every scenario."""
+    rng = np.random.default_rng(2025)
+    n = 100_000
+    g = 10.0 ** rng.uniform(0.0, 11.0, n)
+    fading = montecarlo._desired_fading(rng, n)
+    powers, sir_path = _sir_path_case(rng, n, g * fading)
+    for new, old in zip(_successes(powers, g, fading), sir_path):
+        assert np.max(np.abs(new - old)) <= 2.3e-16
+
+
 POWERS = st.floats(min_value=0.0, max_value=1e300)
+
+
+def _ordered(sums):
+    """The finished point of one realization's raw sums: its columns in
+    scenario order, p_max_co, p_co, p_sf, p_snr_sf."""
+    probs = montecarlo._curve_point(0.0, sums[0], 1, 1.0).probs
+    return probs.p_max_co, probs.p_co, probs.p_sf, probs.p_snr_sf
 
 
 @given(
@@ -255,10 +310,26 @@ POWERS = st.floats(min_value=0.0, max_value=1e300)
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_successes_keep_the_scenario_order(s, power_a, power_b, inter_power, s_snr):
-    # The rounded 0.5 * strongest is at most the rounded 2 * co_power, and add,
-    # divide and sqrt round monotonically, so the order holds exactly in floats.
+    # The rounded 0.5 * strongest is at most the rounded 2 * co_power, add,
+    # divide and sqrt round monotonically, t = u_co * u_inter is at most
+    # 2 * u_co and s_snr * t at most t, so the order holds exactly in floats.
     strongest, co_power = sorted((power_a, power_b))
-    powers = tuple(np.array([p]) for p in (strongest, co_power, inter_power))
-    s_max, s_co, s_inter = montecarlo._successes(powers, np.array([s]))
-    s_sf = s_co * s_inter
-    assert s_max >= s_co >= s_sf >= np.array([s_snr]) * s_sf
+    sums = _raw_sums((strongest, co_power, inter_power), s, s_snr=s_snr)
+    p_max, p_co, p_sf, p_snr_sf = _ordered(sums)
+    assert p_max >= p_co >= p_sf >= p_snr_sf
+
+
+@given(
+    st.floats(min_value=1.0, max_value=1e12),
+    st.floats(min_value=TINY, max_value=50.0),
+    POWERS,
+    POWERS,
+    POWERS,
+)
+def test_scaled_successes_keep_the_scenario_order(g, fading, power_a, power_b, inter_power):
+    # As above in the distance form, where y may overflow to inf.
+    strongest, co_power = sorted((power_a, power_b))
+    p_max, p_co, p_sf, p_snr_sf = _ordered(
+        _raw_sums((strongest, co_power, inter_power), g, fading)
+    )
+    assert p_max >= p_co >= p_sf >= p_snr_sf

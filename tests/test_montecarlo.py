@@ -165,6 +165,45 @@ def test_output_independent_of_chunk_size(monkeypatch, chunk):
     assert csvs() == default
 
 
+# Annuli 0, 1, 3 and 5 hold 1, 4, 5 and 9 points (rings every 2 km); 2 and 4
+# hold none.
+BLOCK_GRID = (1.0, 2.2, 2.7, 3.1, 3.6, 6.1, 6.5, 7.0, 7.4, 7.9) + tuple(
+    10.2 + 0.2 * i for i in range(9)
+)
+
+
+def _distance_sums_and_csv(monkeypatch, threads):
+    """The per-point raw sums of a distance sweep of BLOCK_GRID (one full
+    batch and a partial one), as the sweep hands them to ``_curve_point``,
+    and its CSV."""
+    recorded = []
+    curve_point = montecarlo._curve_point
+
+    def record(abscissa, sums, *rest):
+        recorded.append(sums.copy())
+        return curve_point(abscissa, sums, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_curve_point", record)
+        spec = _distance_spec(BLOCK_GRID, n=5000, seed=3)
+        points = success_vs_distance(NetworkConfig(), spec, threads=threads)
+    return np.array(recorded), curve_to_csv(points, "d_km")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "block", [1, 3 * montecarlo._BATCH, 1 << 40], ids=["one-row", "three-rows", "whole-annulus"]
+)
+def test_output_independent_of_block_size(monkeypatch, block, threads):
+    """Each row's sums are taken along its own realizations, so the point
+    sums, and not only the CSV, are exactly those of the default blocks."""
+    default_sums, default_csv = _distance_sums_and_csv(monkeypatch, 1)
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    sums, csv = _distance_sums_and_csv(monkeypatch, threads)
+    np.testing.assert_array_equal(sums, default_sums)
+    assert csv == default_csv
+
+
 def _sampler_arrays(batch):
     """One batch of each annulus's sub-field at n_bar = 1500 and 20000, and
     the nested whole-cell fields at the same two counts with desired devices

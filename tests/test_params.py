@@ -206,6 +206,18 @@ def test_parse_config_text_bad_value():
         parse_config_text("realizations = 1.5")
 
 
+def test_parse_config_text_integers_are_exact():
+    # Both lie beyond 2**53, where a float would round them.
+    assert parse_config_text("seed = 9007199254740993") == {"seed": 9007199254740993}
+    assert parse_config_text("seed = 12345678901234567891") == {"seed": 12345678901234567891}
+    # An integral float form is still read below 2**53.
+    assert parse_config_text("realizations = 1e5") == {"realizations": 100_000}
+    assert parse_config_text("seed = 9007199254740991.0") == {"seed": 9007199254740991}
+    for raw in ("9007199254740993.0", "9007199254740992.0", "1e16"):
+        with pytest.raises(ConfigError, match="'seed'"):
+            parse_config_text(f"seed = {raw}")
+
+
 def test_parse_config_text_missing_equals():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("seed 3")

@@ -344,8 +344,8 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
     """The inter-SF power the density split leaves outside each desired
     annulus, through the per-realization success of the sweep's ``p_sf``
     factor, at every point of the default grid.  It reads the sweep's own
-    batch walk; its co-SF success reproduces the sweep's ``p_co`` column
-    exactly."""
+    batch walk and its evaluator; its co-SF success reproduces the sweep's
+    ``p_co`` column exactly."""
     cfg = NetworkConfig()
     spec = SweepSpec(
         kind="density",
@@ -354,20 +354,29 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
         seed=11,
     )
     model = ChannelModel.from_config(cfg)
-    co = [montecarlo._MeanAcc() for _ in spec.grid]
-    inter = [montecarlo._MeanAcc() for _ in spec.grid]
+    # The evaluator computes the same doubled success in its max_co and co
+    # slots from the scaled power it is given, so the co-SF scaled power
+    # goes in the first slot and the inter-SF one in the second: the
+    # finished point's p_max_co is then the co-SF success and its p_co the
+    # inter-SF one, with its standard error.
+    sums = np.zeros((len(spec.grid), 6))
+    scratch = np.empty((3, montecarlo._BATCH))
     batches = montecarlo._density_batches(
         cfg, spec.grid, spec.realizations_per_point, spec.seed, model
     )
     for s, _, fields in batches:
-        for co_acc, inter_acc, powers in zip(co, inter, fields):
-            _, s_co, s_inter = montecarlo._successes(powers, s)
-            co_acc.add(s_co)
-            inter_acc.add(s_inter)
-    assert [acc.mean for acc in co] == [pt.probs.p_co for pt in coverage_vs_density(cfg, spec)]
+        y = np.empty((3, 1, s.size))
+        for row, powers in zip(sums, fields):
+            montecarlo._scaled(powers, None, y)
+            y[:2] = y[1:]
+            montecarlo._evaluate(y, s[np.newaxis], row[np.newaxis], scratch)
+    n = spec.realizations_per_point
+    points = [montecarlo._curve_point(n_bar, row, n, 1.0) for row, n_bar in zip(sums, spec.grid)]
+    co = [pt.probs.p_max_co for pt in points]
+    assert co == [pt.probs.p_co for pt in coverage_vs_density(cfg, spec)]
     z = []
-    for acc, p_inter in zip(inter, _p_inter_density_oracle(spec.grid, cfg)):
-        assert acc.stderr > 0.0
-        z.append((acc.mean - p_inter) / acc.stderr)
+    for pt, p_inter in zip(points, _p_inter_density_oracle(spec.grid, cfg)):
+        assert pt.stderr.p_co > 0.0
+        z.append((pt.probs.p_co - p_inter) / pt.stderr.p_co)
     worst = int(np.argmax(np.abs(z)))
     assert abs(z[worst]) <= Z_MAX, f"z = {z[worst]:.2f} at n_bar = {spec.grid[worst]}"
