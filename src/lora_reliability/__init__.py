@@ -11,28 +11,7 @@ from .analytic import (
     q_function,
     success_from_sir,
 )
-from .channel import (
-    ChannelModel,
-    path_loss,
-    sample_fading,
-    snr_success_empirical,
-    snr_success_probability,
-)
-from .geometry import (
-    EndDevice,
-    OutOfCellError,
-    Position,
-    Realization,
-    annulus_to_sf,
-    sample_device_count,
-    sample_realization,
-)
-from .interference import (
-    SirSample,
-    received_power_mw,
-    sir_sample,
-    split_interference_power,
-)
+from .channel import ChannelModel, path_loss, snr_success_probability
 from .montecarlo import (
     CurvePoint,
     SirStats,
@@ -47,7 +26,9 @@ from .params import (
     CO_CHANNEL_REJECTION,
     ConfigError,
     NetworkConfig,
+    OutOfCellError,
     SfParams,
+    annulus_to_sf,
     db_to_linear,
     dbm_to_mw,
     mw_to_dbm,
@@ -57,5 +38,6 @@ from .params import (
     sf_table,
     wavelength_m,
 )
+from .reference import sample_realization, sir_sample
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Propagation and noise: free-space path loss, Rayleigh fading draws, and
-the closed-form probability that a frame survives noise alone."""
+"""Propagation and noise: free-space path loss and the closed-form
+probability that a frame survives noise alone under Rayleigh fading."""
 
 from __future__ import annotations
 
@@ -60,11 +60,6 @@ def path_loss_array(d_km: np.ndarray, model: ChannelModel) -> np.ndarray:
     return (model.wavelength_m / (4.0 * math.pi * d_m)) ** model.path_loss_exponent
 
 
-def sample_fading(rng: np.random.Generator) -> float:
-    """Draw one squared fading magnitude: unit-mean exponential."""
-    return float(rng.exponential())
-
-
 def _success_given_threshold(
     theta_linear: float, noise_mw: float, tx_power_mw: float, gain: float
 ) -> float:
@@ -85,28 +80,3 @@ def snr_success_probability(d_km: float, sf: int, cfg: NetworkConfig) -> float:
     return _success_given_threshold(
         theta, model.noise_mw, dbm_to_mw(cfg.tx_power_dbm), path_loss(d_km, model)
     )
-
-
-def snr_success_empirical(
-    d_km: float,
-    sf: int,
-    cfg: NetworkConfig,
-    rng: np.random.Generator,
-    n: int,
-) -> float:
-    """Monte Carlo estimate of :func:`snr_success_probability` from ``n``
-    fading draws; converges to the closed form as n grows."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    if not 0 < d_km <= cfg.cell_radius_km:
-        raise ValueError(
-            f"distance {d_km} km outside cell (0, {cfg.cell_radius_km}] km"
-        )
-    model = ChannelModel.from_config(cfg)
-    theta = db_to_linear(sf_params(sf).snr_threshold_db)
-    # SNR >= theta  <=>  fading >= noise * theta / (power * gain)
-    fading_threshold = (model.noise_mw * theta) / (
-        dbm_to_mw(cfg.tx_power_dbm) * path_loss(d_km, model)
-    )
-    draws = rng.exponential(size=n)
-    return int(np.count_nonzero(draws >= fading_threshold)) / n

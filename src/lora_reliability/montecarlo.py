@@ -74,11 +74,12 @@ Poisson(mean_devices) candidates and keeping each with the duty-cycle
 probability, the engine draws the active interferers directly as
 Poisson(duty_cycle * mean_devices) with i.i.d. uniform positions.  The two
 procedures produce identically distributed active fields, and only active
-interferers enter any SIR.  These samplers are the only Monte Carlo engine.
-The object-level path (:func:`geometry.sample_realization` with
-:func:`interference.sir_sample`) keeps the explicit candidate-plus-thinning
-form as the independent reference that tests and ``validate`` compare
-against; no sweep or estimate calls it.
+interferers enter any SIR.  These samplers are the only Monte Carlo engine,
+and ``validate`` checks its interference algebra on one batch of
+:func:`_ring_batches`.  The object-level path in
+:mod:`lora_reliability.reference` keeps the explicit candidate-plus-thinning
+form as the independent reference that the tests compare against; no sweep,
+estimate or command imports it.
 """
 
 from __future__ import annotations
@@ -94,8 +95,16 @@ import numpy as np
 
 from .analytic import ScenarioProbabilities
 from .channel import ChannelModel, path_loss, snr_success_probability
-from .geometry import OutOfCellError, annulus_to_sf
-from .params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, db_to_linear, dbm_to_mw, sf_table
+from .params import (
+    CO_CHANNEL_REJECTION,
+    SF_MIN,
+    NetworkConfig,
+    OutOfCellError,
+    annulus_to_sf,
+    db_to_linear,
+    dbm_to_mw,
+    sf_table,
+)
 
 DISTANCE_GRID_POINTS = 120
 DENSITY_GRID_POINTS = 30
@@ -193,10 +202,14 @@ class SirStats:
 def default_distance_grid(
     cfg: NetworkConfig, points: int = DISTANCE_GRID_POINTS
 ) -> tuple[float, ...]:
-    """Evenly spaced distances from 0.1 km to the cell edge."""
+    """Evenly spaced distances from 0.1 km to the cell edge.  A cell that
+    excludes 0.1 km starts at ``min_distance_km`` or, if it is no wider than
+    0.1 km, at the larger of ``min_distance_km`` and ``R / points``."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
-    return tuple(float(x) for x in np.linspace(0.1, cfg.cell_radius_km, points))
+    radius = cfg.cell_radius_km
+    start = max(cfg.min_distance_km, 0.1 if radius > 0.1 else radius / points)
+    return tuple(float(x) for x in np.linspace(start, radius, points))
 
 
 def default_density_grid(

@@ -23,7 +23,7 @@ class SfParams:
     """Radio parameters of one spreading factor.
 
     SF ``7 + k`` serves the annulus ``[k*R/6, (k+1)*R/6)`` of the cell; see
-    :func:`lora_reliability.geometry.annulus_to_sf`.
+    :func:`annulus_to_sf`.
     """
 
     sf: int
@@ -64,6 +64,33 @@ def sf_params(sf: int) -> SfParams:
     if not SF_MIN <= sf <= SF_MAX:
         raise ValueError(f"spreading factor must be in {SF_MIN}..{SF_MAX}, got {sf}")
     return _SF_TABLE[sf - SF_MIN]
+
+
+class OutOfCellError(ValueError):
+    """Distance outside the [0, R] cell range."""
+
+
+def annulus_to_sf(distance_km: float, cell_radius_km: float) -> int:
+    """Map a gateway distance to its annulus SF.
+
+    Annuli are the six equal-width rings ``[k*R/6, (k+1)*R/6)``; boundaries
+    belong to the outer ring and the outermost ring is closed at ``R``.  The
+    SF is 7 plus the number of ring starts ``k*R/6``, k = 1..5, at or below
+    the distance, compared as computed: ``int(6*d/R)`` alone rounds some
+    starts into the inner ring (``R = 0.7``, ``k = 3``).
+    """
+    if not 0 <= distance_km <= cell_radius_km:
+        raise OutOfCellError(
+            f"distance {distance_km} km outside cell [0, {cell_radius_km}] km"
+        )
+    # int(6*d/R) is off by at most one ring; the object sampler calls this
+    # once per device, so correct it rather than count all five starts.
+    ring = min(int(6.0 * distance_km / cell_radius_km), 5)
+    if distance_km < ring * cell_radius_km / 6:
+        ring -= 1
+    elif ring < 5 and distance_km >= (ring + 1) * cell_radius_km / 6:
+        ring += 1
+    return SF_MIN + ring
 
 
 @dataclass(frozen=True)

@@ -14,22 +14,8 @@ from lora_reliability.analytic import (
     q_bound,
     q_function,
 )
-from lora_reliability.channel import (
-    ChannelModel,
-    snr_success_empirical,
-    snr_success_probability,
-)
+from lora_reliability.channel import ChannelModel, snr_success_probability
 from lora_reliability.cli import main
-from lora_reliability.geometry import (
-    annulus_to_sf,
-    sample_device_count,
-    sample_realization,
-)
-from lora_reliability.interference import (
-    received_power_mw,
-    sir_sample,
-    split_interference_power,
-)
 from lora_reliability.montecarlo import (
     SweepSpec,
     coverage_vs_density,
@@ -37,7 +23,15 @@ from lora_reliability.montecarlo import (
     default_distance_grid,
     success_vs_distance,
 )
-from lora_reliability.params import NetworkConfig
+from lora_reliability.params import NetworkConfig, annulus_to_sf
+from lora_reliability.reference import (
+    received_power_mw,
+    sample_device_count,
+    sample_realization,
+    sir_sample,
+    snr_success_empirical,
+    split_interference_power,
+)
 
 DESK_REALIZATIONS = 10_000
 

@@ -10,12 +10,10 @@ from lora_reliability.channel import (
     _success_given_threshold,
     path_loss,
     path_loss_array,
-    sample_fading,
-    snr_success_empirical,
     snr_success_probability,
 )
-from lora_reliability.geometry import annulus_to_sf
-from lora_reliability.params import NetworkConfig
+from lora_reliability.params import NetworkConfig, annulus_to_sf
+from lora_reliability.reference import sample_fading, snr_success_empirical
 
 
 def _model(wavelength=0.34534, eta=2.7, noise=1e-12):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import io
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import lora_reliability
+from lora_reliability import montecarlo
 from lora_reliability.cli import main
+from lora_reliability.params import parse_config_text
 
 DISTANCE_HEADER = "d_km,p_snr,p_max_co,p_co,p_sf,p_snr_sf,se_snr,se_max_co,se_co,se_sf,se_snr_sf"
 DENSITY_HEADER = "n_bar,p_snr,p_max_co,p_co,p_sf,p_snr_sf,se_snr,se_max_co,se_co,se_sf,se_snr_sf"
@@ -130,6 +133,20 @@ def test_sweep_distance_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert out_path.read_bytes().decode() == stdout_text
     assert b"\r" not in out_path.read_bytes()
+
+
+@pytest.mark.parametrize("setting", ["min_distance_km = 0.5", "cell_radius_km = 0.08"])
+def test_sweep_distance_grid_fits_the_cell(setting, tmp_path, capsys):
+    cfg_path = tmp_path / "cell.cfg"
+    cfg_path.write_text(setting + "\n", encoding="utf-8")
+    args = ["sweep-distance", "--config", str(cfg_path), "--realizations", "20"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    cfg = lora_reliability.NetworkConfig(**parse_config_text(setting))
+    d_km = [float(row["d_km"]) for row in _rows(out)]
+    assert len(d_km) == 120
+    assert all(a < b for a, b in zip(d_km, d_km[1:]))
+    assert cfg.min_distance_km <= d_km[0] and d_km[-1] == cfg.cell_radius_km
 
 
 def test_sweep_density_csv(capsys):
@@ -309,6 +326,18 @@ def test_validate_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_validate_fails_on_swapped_kernel(monkeypatch, capsys):
+    """The interference-algebra check reads the sweep kernel: a kernel that
+    returns (sum, strongest) instead of (strongest, sum) fails it."""
+    field_powers = montecarlo._field_powers
+    monkeypatch.setattr(
+        montecarlo, "_field_powers", lambda *args: field_powers(*args)[::-1]
+    )
+    code, out, _ = run_cli(["validate"], capsys)
+    assert code == 1
+    assert "FAIL interference algebra" in out
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -355,6 +384,24 @@ def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):
         code, out, _ = run_cli([command] + flags + extra, capsys)
         assert code == 0
         assert (tmp_path / "script" / name).read_bytes() == out.encode()
+
+
+def test_only_the_package_root_imports_reference():
+    """The object-level reference is a leaf: no module on the sweep or
+    command path imports it."""
+    package = Path(lora_reliability.__file__).resolve().parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "reference" for name in names):
+                importers.add(path.name)
+    assert importers == {"__init__.py"}
 
 
 def test_sweeps_and_cli_do_not_load_scipy():

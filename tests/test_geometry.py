@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from lora_reliability.geometry import (
-    OutOfCellError,
-    annulus_to_sf,
-    sample_device_count,
-    sample_realization,
-)
-from lora_reliability.params import ConfigError, NetworkConfig
+from lora_reliability.params import ConfigError, NetworkConfig, OutOfCellError, annulus_to_sf
+from lora_reliability.reference import sample_device_count, sample_realization
 
 
 def _interferer_squared_distances(seed, n=100_000):

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lora_reliability.channel import ChannelModel, path_loss
-from lora_reliability.geometry import (
+from lora_reliability.params import CO_CHANNEL_REJECTION, NetworkConfig, annulus_to_sf
+from lora_reliability.reference import (
     EndDevice,
     Position,
     Realization,
-    annulus_to_sf,
-    sample_realization,
-)
-from lora_reliability.interference import (
-    CO_CHANNEL_REJECTION,
     received_power_mw,
+    sample_realization,
     sir_sample,
     split_interference_power,
 )
-from lora_reliability.params import NetworkConfig
 
 MODEL = ChannelModel(wavelength_m=0.345, path_loss_exponent=2.7, noise_mw=1e-12)
 R = 12.0

@@ -24,8 +24,13 @@ from hypothesis import given, strategies as st
 from lora_reliability import montecarlo
 from lora_reliability.analytic import success_from_sir_array
 from lora_reliability.channel import ChannelModel, path_loss, path_loss_array
-from lora_reliability.geometry import annulus_to_sf
-from lora_reliability.params import CO_CHANNEL_REJECTION, SF_MIN, NetworkConfig, dbm_to_mw
+from lora_reliability.params import (
+    CO_CHANNEL_REJECTION,
+    SF_MIN,
+    NetworkConfig,
+    annulus_to_sf,
+    dbm_to_mw,
+)
 
 RTOL = 1e-12
 

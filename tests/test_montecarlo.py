@@ -7,8 +7,6 @@ import pytest
 from lora_reliability import montecarlo
 from lora_reliability.channel import ChannelModel, snr_success_probability
 from lora_reliability.cli import curve_to_csv
-from lora_reliability.geometry import annulus_to_sf, sample_realization
-from lora_reliability.interference import sir_sample
 from lora_reliability.montecarlo import (
     SweepSpec,
     coverage_vs_density,
@@ -18,7 +16,8 @@ from lora_reliability.montecarlo import (
     success_vs_distance,
 )
 from lora_reliability.analytic import success_from_sir
-from lora_reliability.params import SF_MIN, NetworkConfig
+from lora_reliability.params import SF_MIN, NetworkConfig, annulus_to_sf
+from lora_reliability.reference import sample_realization, sir_sample
 
 
 def _distance_spec(grid, n=2000, seed=7, **kw):

@@ -4,10 +4,10 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
-from lora_reliability.geometry import annulus_to_sf
 from lora_reliability.params import (
     ConfigError,
     NetworkConfig,
+    annulus_to_sf,
     db_to_linear,
     dbm_to_mw,
     mw_to_dbm,

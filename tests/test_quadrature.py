@@ -51,7 +51,6 @@ from scipy import integrate, special
 from lora_reliability import montecarlo
 from lora_reliability.analytic import success_from_sir_array
 from lora_reliability.channel import ChannelModel
-from lora_reliability.geometry import annulus_to_sf
 from lora_reliability.montecarlo import (
     SweepSpec,
     coverage_vs_density,
@@ -59,11 +58,33 @@ from lora_reliability.montecarlo import (
     default_distance_grid,
     success_vs_distance,
 )
-from lora_reliability.params import SF_MIN, NetworkConfig
+from lora_reliability.params import SF_MIN, NetworkConfig, annulus_to_sf
 
 Z_MAX = 4.0
 NODES = 200
 AREA_NODES = 24  # Gauss-Legendre nodes per annulus of the density average
+
+
+def _outer_nodes():
+    """The outer integral's Gauss-Legendre nodes as SIR thresholds
+    ``x = (t/(1-t))**2``, ``t`` in (0, 1), and their weights: with
+    f'(x) dx = (2 + x)**(-3/2) / (1 - t)**2 dt, ``p = 1/2 + sum(weight *
+    P[SIR > x])``."""
+    t, w = np.polynomial.legendre.leggauss(NODES)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    x = (t / (1.0 - t)) ** 2
+    return x, w * (2.0 + x) ** -1.5 / (1.0 - t) ** 2
+
+
+def _head(y, a, b):
+    """Integral over [0, y] of dv / (1 + (v/b)**a)."""
+    return y * special.hyp2f1(1.0, 1.0 / a, 1.0 + 1.0 / a, -((y / b) ** a))
+
+
+def _clamped(y, a, b, v_min):
+    """The same integral of v = max(u, v_min) over u in [0, y]."""
+    mass = np.minimum(y, v_min) / (1.0 + (v_min / b) ** a)
+    return mass + np.where(y > v_min, _head(np.maximum(y, v_min), a, b) - _head(v_min, a, b), 0.0)
 
 
 def _ring(d_km, cfg):
@@ -77,20 +98,13 @@ def _p_co_oracle(d_km, cfg):
     lam = cfg.duty_cycle * cfg.mean_devices
     v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
     k, lo, hi = _ring(d_km, cfg)
-    t, w = np.polynomial.legendre.leggauss(NODES)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    x = (t / (1.0 - t)) ** 2
+    x, outer = _outer_nodes()
     b = (d_km / cfg.cell_radius_km) ** 2 * x ** (1.0 / a)
-
-    def head(y):  # integral over [0, y] of dv / (1 + (v/b)**a)
-        return y * special.hyp2f1(1.0, 1.0 / a, 1.0 + 1.0 / a, -((y / b) ** a))
-
     if k == 0:
-        ring = v_min / (1.0 + (v_min / b) ** a) + head(hi) - head(v_min)
+        ring = v_min / (1.0 + (v_min / b) ** a) + _head(hi, a, b) - _head(v_min, a, b)
     else:
-        ring = head(hi) - head(lo)
-    # f'(x) dx = (2 + x)**(-3/2) / (1 - t)**2 dt
-    return 0.5 + float(np.sum(w * (2.0 + x) ** -1.5 / (1.0 - t) ** 2 * np.exp(-lam * ring)))
+        ring = _head(hi, a, b) - _head(lo, a, b)
+    return 0.5 + float(np.sum(outer * np.exp(-lam * ring)))
 
 
 def _p_inter_oracle(d_km, cfg):
@@ -98,21 +112,10 @@ def _p_inter_oracle(d_km, cfg):
     lam = cfg.duty_cycle * cfg.mean_devices
     v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
     _, lo, hi = _ring(d_km, cfg)
-    t, w = np.polynomial.legendre.leggauss(NODES)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    x = (t / (1.0 - t)) ** 2
+    x, outer = _outer_nodes()
     b = (d_km / cfg.cell_radius_km) ** 2 * x ** (1.0 / a)
-
-    def head(y):  # integral over [0, y] of dv / (1 + (v/b)**a)
-        return y * special.hyp2f1(1.0, 1.0 / a, 1.0 + 1.0 / a, -((y / b) ** a))
-
-    def clamped(y):  # the same integral of v = max(u, v_min) over u in [0, y]
-        if y <= v_min:
-            return y / (1.0 + (v_min / b) ** a)
-        return v_min / (1.0 + (v_min / b) ** a) + head(y) - head(v_min)
-
-    outside = clamped(lo) + clamped(1.0) - clamped(hi)
-    return 0.5 + float(np.sum(w * (2.0 + x) ** -1.5 / (1.0 - t) ** 2 * np.exp(-lam * outside)))
+    outside = _clamped(lo, a, b, v_min) + _clamped(1.0, a, b, v_min) - _clamped(hi, a, b, v_min)
+    return 0.5 + float(np.sum(outer * np.exp(-lam * outside)))
 
 
 def _area_nodes(cfg, area_nodes=AREA_NODES):
@@ -148,22 +151,11 @@ def _density_oracle(n_bars, cfg, area_nodes, inter):
     v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
     v_d, weight, lo, hi = _area_nodes(cfg, area_nodes)
     v_d, lo, hi = v_d[:, None], lo[:, None], hi[:, None]
-    t, w = np.polynomial.legendre.leggauss(NODES)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    x = (t / (1.0 - t)) ** 2
+    x, outer = _outer_nodes()
     b = v_d * x ** (1.0 / a)
-
-    def head(y):  # integral over [0, y] of dv / (1 + (v/b)**a)
-        return y * special.hyp2f1(1.0, 1.0 / a, 1.0 + 1.0 / a, -((y / b) ** a))
-
-    def clamped(y):  # the same integral of v = max(u, v_min) over u in [0, y]
-        mass = np.minimum(y, v_min) / (1.0 + (v_min / b) ** a)
-        return mass + np.where(y > v_min, head(np.maximum(y, v_min)) - head(v_min), 0.0)
-
-    ring = clamped(hi) - clamped(lo)  # independent of n_bar
+    ring = _clamped(hi, a, b, v_min) - _clamped(lo, a, b, v_min)  # independent of n_bar
     if inter:  # the complement of the desired annulus
-        ring = clamped(1.0) - ring
-    outer = w * (2.0 + x) ** -1.5 / (1.0 - t) ** 2
+        ring = _clamped(1.0, a, b, v_min) - ring
     return [
         0.5 + float(weight @ (np.exp(-cfg.duty_cycle * n_bar * ring) @ outer))
         for n_bar in n_bars
