@@ -7,7 +7,8 @@ Produces:
   <out-dir>/coverage_vs_density.csv   coverage over 30 log-spaced mean device
                                       counts in [1, 3000]
 
-Both default to 10^5 realizations per point (use --desk for a fast 10^4 run).
+Both default to 10^5 realizations per point; ``--realizations 10000`` gives
+the command line's fast desk-scale run.
 Each file is what ``lora-reliability sweep-distance`` / ``sweep-density``
 writes for the same seed and realization count, byte for byte.  --threads
 goes to ``sweep-distance`` only; the density sweep runs on one thread.
@@ -32,21 +33,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out-dir", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--realizations", type=int, default=100_000)
-    parser.add_argument(
-        "--desk",
-        action="store_true",
-        help=f"quick {cli.DESK_REALIZATIONS}-realization run",
-    )
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
-    n = cli.DESK_REALIZATIONS if args.desk else args.realizations
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    flags = ["--seed", str(args.seed), "--realizations", str(args.realizations)]
     for command, name in SWEEPS:
         path = out_dir / name
-        cmd = [command, "--seed", str(args.seed), "--realizations", str(n), "--out", str(path)]
+        cmd = [command, *flags, "--out", str(path)]
         if command == "sweep-distance":
             cmd += ["--threads", str(args.threads)]
         start = time.perf_counter()

@@ -56,18 +56,13 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _load_file_values(path: str | None) -> dict[str, float | int]:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
-def _build_config(args: argparse.Namespace) -> tuple[NetworkConfig, dict[str, float | int]]:
+def _build_config(args: argparse.Namespace) -> NetworkConfig:
     """Table-default < config file < flags < env-var seed fallback; the
     fallback applies only to commands that take --seed."""
-    file_values = _load_file_values(getattr(args, "config", None))
-    values = dict(file_values)
+    values: dict[str, float | int] = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = parse_config_text(fh.read())
     if getattr(args, "mean_devices", None) is not None:
         values["mean_devices"] = args.mean_devices
     if getattr(args, "seed", None) is not None:
@@ -78,23 +73,11 @@ def _build_config(args: argparse.Namespace) -> tuple[NetworkConfig, dict[str, fl
             values["seed"] = int(raw)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    return NetworkConfig(**values), file_values  # type: ignore[arg-type]
-
-
-def _resolve_realizations(
-    args: argparse.Namespace, cfg: NetworkConfig, file_values: dict
-) -> int:
-    """--realizations wins; otherwise an explicit config-file value or
-    --full selects cfg.realizations; otherwise the desk-scale default."""
-    if args.realizations is not None:
-        return args.realizations
-    if "realizations" in file_values or args.full:
-        return cfg.realizations
-    return DESK_REALIZATIONS
+    return NetworkConfig(**values)  # type: ignore[arg-type]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, file_values = _build_config(args)
+    cfg = _build_config(args)
     if args.kind == "distance":
         grid = montecarlo.default_distance_grid(cfg)
         sweep, abscissa_name = montecarlo.success_vs_distance, "d_km"
@@ -104,7 +87,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = montecarlo.SweepSpec(
         kind=args.kind,
         grid=grid,
-        realizations_per_point=_resolve_realizations(args, cfg, file_values),
+        realizations_per_point=args.realizations,
         seed=cfg.seed,
     )
     points = sweep(cfg, spec, threads=args.threads)
@@ -131,7 +114,7 @@ def _cmd_closed_form(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         return 0
     if args.distance is None or args.sf is None:
         parser.error("--distance and --sf must be given together")
-    cfg, _ = _build_config(args)
+    cfg = _build_config(args)
     p = snr_success_probability(args.distance, args.sf, cfg)
     sys.stdout.write(f"d_km={_fmt(args.distance)} sf={args.sf} p_snr={_fmt(p)}\n")
     return 0
@@ -213,7 +196,7 @@ def _check_interference_algebra(cfg: NetworkConfig) -> tuple[bool, str]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg, _ = _build_config(args)
+    cfg = _build_config(args)
     checks = [
         ("outage quadrature vs closed form", _check_outage_quadrature),
         ("gaussian tail and bound", _check_q_function),
@@ -251,12 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = argparse.ArgumentParser(add_help=False, parents=[config, seeded])
     sweep.add_argument(
-        "--realizations", type=int, metavar="N", help="realizations per sweep point"
-    )
-    sweep.add_argument(
-        "--full",
-        action="store_true",
-        help=f"full-scale run (config realizations) instead of the desk default {DESK_REALIZATIONS}",
+        "--realizations",
+        type=int,
+        default=DESK_REALIZATIONS,
+        metavar="N",
+        help="realizations per sweep point (default: %(default)s)",
     )
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 

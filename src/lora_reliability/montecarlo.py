@@ -204,12 +204,14 @@ def default_distance_grid(
 ) -> tuple[float, ...]:
     """Evenly spaced distances from 0.1 km to the cell edge.  A cell that
     excludes 0.1 km starts at ``min_distance_km`` or, if it is no wider than
-    0.1 km, at the larger of ``min_distance_km`` and ``R / points``."""
+    0.1 km, at the larger of ``min_distance_km`` and ``R / points``.  A start
+    within a few ulps of the edge rounds some distances together; each
+    distinct one is kept once, so the grid may hold fewer than ``points``."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     radius = cfg.cell_radius_km
     start = max(cfg.min_distance_km, 0.1 if radius > 0.1 else radius / points)
-    return tuple(float(x) for x in np.linspace(start, radius, points))
+    return tuple(float(x) for x in np.unique(np.linspace(start, radius, points)))
 
 
 def default_density_grid(
@@ -269,10 +271,7 @@ def _field_powers(
     # and the exponential draws follow, one word per uniform double, so a
     # copy advanced by ``total`` words continues the fading stream where it
     # starts: chunked draws return the same numbers as two full-length ones.
-    # A batch that fits one chunk draws its fading from ``rng`` itself.
-    fading_rng = rng
-    if total > _CHUNK:
-        fading_rng = np.random.Generator(copy.copy(rng.bit_generator).advance(total))
+    fading_rng = np.random.Generator(copy.copy(rng.bit_generator).advance(total))
 
     v_min = (cfg.min_distance_km / cfg.cell_radius_km) ** 2
     exponent = -0.5 * cfg.path_loss_exponent

@@ -114,7 +114,6 @@ class NetworkConfig:
     # 1 m clamp: the free-space gain diverges as d -> 0 and the plotted range
     # never goes below ~0.1 km, so the clamp is physically inert.
     min_distance_km: float = 0.001
-    realizations: int = 100_000
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -141,10 +140,35 @@ class NetworkConfig:
                 "min_distance_km must satisfy 0 < min_distance_km < cell_radius_km, "
                 f"got {self.min_distance_km}"
             )
-        if self.realizations <= 0:
-            raise ConfigError(f"realizations must be > 0, got {self.realizations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        # The noise-only success divides the noise floor by the received
+        # power, so each must be a positive finite double: the transmit
+        # power, the noise floor, and the received power at the cell edge,
+        # the weakest in the cell, with the gain as channel.path_loss
+        # computes it.
+        budget = (
+            ("transmit power", "tx_power_dbm", lambda: dbm_to_mw(self.tx_power_dbm)),
+            (
+                "noise floor",
+                "noise_density_dbm_hz, noise_figure_db and bandwidth_hz",
+                lambda: dbm_to_mw(noise_floor_dbm(self)),
+            ),
+            (
+                "received power at the cell edge",
+                "tx_power_dbm, carrier_hz, path_loss_exponent and cell_radius_km",
+                lambda: dbm_to_mw(self.tx_power_dbm)
+                * (wavelength_m(self) / (4.0 * math.pi * (1000.0 * self.cell_radius_km)))
+                ** self.path_loss_exponent,
+            ),
+        )
+        for power, keys, power_mw in budget:
+            try:
+                ok = 0.0 < power_mw() < math.inf
+            except OverflowError:  # float ** raises where it overflows
+                ok = False
+            if not ok:
+                raise ConfigError(f"the {power} set by {keys} must be a positive finite double")
 
 
 def dbm_to_mw(x_dbm: float) -> float:
@@ -180,7 +204,7 @@ def wavelength_m(cfg: NetworkConfig) -> float:
 # NetworkConfig field names.  `#` starts a comment; blank lines are ignored.
 # Unknown or duplicate keys are errors; omitted keys keep their defaults.
 
-_INT_FIELDS = frozenset({"realizations", "seed"})
+_INT_FIELDS = frozenset({"seed"})
 _FIELD_NAMES = frozenset(f.name for f in fields(NetworkConfig))
 
 

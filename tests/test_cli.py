@@ -12,7 +12,7 @@ import pytest
 
 import lora_reliability
 from lora_reliability import montecarlo
-from lora_reliability.cli import main
+from lora_reliability.cli import DESK_REALIZATIONS, build_parser, main
 from lora_reliability.params import parse_config_text
 
 DISTANCE_HEADER = "d_km,p_snr,p_max_co,p_co,p_sf,p_snr_sf,se_snr,se_max_co,se_co,se_sf,se_snr_sf"
@@ -149,6 +149,20 @@ def test_sweep_distance_grid_fits_the_cell(setting, tmp_path, capsys):
     assert cfg.min_distance_km <= d_km[0] and d_km[-1] == cfg.cell_radius_km
 
 
+def test_sweep_distance_grid_near_the_cell_edge_keeps_distinct_distances(tmp_path, capsys):
+    """A grid start a few ulps below the edge rounds the 120 distances to 7
+    distinct ones; the sweep runs on those 7, in order."""
+    cfg_path = tmp_path / "edge.cfg"
+    cfg_path.write_text("min_distance_km = 11.99999999999999\n", encoding="utf-8")
+    args = ["sweep-distance", "--config", str(cfg_path), "--realizations", "20"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    d_km = [float(row["d_km"]) for row in _rows(out)]
+    assert len(d_km) == 7
+    assert all(a < b for a, b in zip(d_km, d_km[1:]))
+    assert d_km[0] == 11.99999999999999 and d_km[-1] == 12.0
+
+
 def test_sweep_density_csv(capsys):
     code, out, _ = run_cli(
         ["sweep-density", "--seed", "5", "--realizations", "200"], capsys
@@ -195,12 +209,15 @@ def test_config_file_is_honored(tmp_path, capsys):
     assert all(float(row["p_co"]) == 1.0 for row in _rows(out))
 
 
-def test_config_file_realizations_key_controls_run_size(tmp_path, capsys):
+def test_config_file_realizations_key_is_rejected(tmp_path, capsys):
+    """The run size belongs to the run, not to the deployment: it is set by
+    --realizations alone, and the config file has no such key."""
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text("realizations = 64\nmean_devices = 0\n", encoding="utf-8")
-    code, out, _ = run_cli(["sweep-distance", "--config", str(cfg_path)], capsys)
-    assert code == 0
-    assert len(out.splitlines()) == 121  # runs (fast) with the configured count
+    code, out, err = run_cli(["sweep-distance", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown config key 'realizations'" in err
 
 
 def test_config_seed_beyond_float_precision_matches_flag(tmp_path, capsys):
@@ -222,20 +239,21 @@ def test_config_seed_beyond_float_precision_matches_flag(tmp_path, capsys):
 
 
 def test_realizations_precedence(tmp_path, capsys):
+    """--realizations sets the run size, else the desk default; a config
+    file changes the run's deployment, never its size."""
+    for command in ("sweep-distance", "sweep-density"):
+        assert build_parser().parse_args([command]).realizations == DESK_REALIZATIONS
     cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text("realizations = 64\nseed = 6\n", encoding="utf-8")
+    cfg_path.write_text("seed = 6\n", encoding="utf-8")
     _, by_flag, _ = run_cli(["sweep-distance", "--seed", "6", "--realizations", "64"], capsys)
-    # config-file key selects the same run size as the explicit flag
-    _, by_file, _ = run_cli(["sweep-distance", "--config", str(cfg_path)], capsys)
+    _, by_file, _ = run_cli(
+        ["sweep-distance", "--config", str(cfg_path), "--realizations", "64"], capsys
+    )
     assert by_file == by_flag
-    # --full takes the config realizations count
-    _, by_full, _ = run_cli(["sweep-distance", "--config", str(cfg_path), "--full"], capsys)
-    assert by_full == by_flag
-    # flag beats the config-file key
-    _, flag_wins, _ = run_cli(
+    _, other_size, _ = run_cli(
         ["sweep-distance", "--config", str(cfg_path), "--realizations", "32"], capsys
     )
-    assert flag_wins != by_flag
+    assert other_size != by_flag
 
 
 def test_bad_config_key_fails_with_message(tmp_path, capsys):
@@ -252,6 +270,36 @@ def test_bad_config_value_fails(tmp_path, capsys):
     code, _, err = run_cli(["sweep-distance", "--config", str(cfg_path)], capsys)
     assert code != 0
     assert "duty_cycle" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep-distance", "--realizations", "10"],
+        ["sweep-density", "--realizations", "10"],
+        ["closed-form", "--distance", "6", "--sf", "9"],
+        ["validate"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_link_budget_outside_positive_doubles_fails_naming_key(command, tmp_path, capsys):
+    """Configs whose transmit power, noise floor or cell-edge received power
+    leaves the positive finite doubles exit 2 naming the key, in every
+    command that reads a config."""
+    cfg_path = tmp_path / "budget.cfg"
+    for setting in (
+        "tx_power_dbm = -4000",
+        "tx_power_dbm = 4000",
+        "noise_density_dbm_hz = 4000",
+        "carrier_hz = 1e300",
+        "path_loss_exponent = 60",
+        "cell_radius_km = 1e300",
+    ):
+        cfg_path.write_text(setting + "\n", encoding="utf-8")
+        code, out, err = run_cli(command + ["--config", str(cfg_path)], capsys)
+        assert code == 2, (setting, err)
+        assert out == ""
+        assert setting.split()[0] in err
 
 
 @pytest.mark.parametrize(
@@ -366,6 +414,50 @@ def test_removed_flag_is_rejected(command, flag, value, capsys):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("command", ["sweep-distance", "sweep-density"])
+def test_removed_full_switch_is_rejected(command, capsys):
+    """The run size has one setting, --realizations; --full was the same as
+    --realizations 100000."""
+    code, out, err = run_cli([command, "--full"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--full" in err
+
+
+def test_reproduce_script_rejects_removed_desk_switch(tmp_path, capsys):
+    """The script's run size is --realizations; --desk was the same as
+    --realizations 10000."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_paper_sweeps.py"
+    spec = importlib.util.spec_from_file_location("reproduce_paper_sweeps", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--desk", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--desk" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_command_lines_parse():
+    """Every ``lora-reliability ...`` line in the README's code blocks is
+    accepted by the command-line parser."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    lines = [
+        line.split("#", 1)[0].split()
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("lora-reliability ")
+    ]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {' '.join(argv)}")
 
 
 def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):

@@ -133,7 +133,10 @@ def test_defaults_match_reference_table():
     assert cfg.duty_cycle == 0.01
     assert cfg.mean_devices == 1500.0
     assert cfg.cell_radius_km == 12.0
-    assert cfg.realizations == 100_000
+    assert cfg.min_distance_km == 0.001
+    assert cfg.seed == 1
+    # The run size belongs to the run (SweepSpec), not to the deployment.
+    assert "realizations" not in {f.name for f in fields(NetworkConfig)}
 
 
 @pytest.mark.parametrize(
@@ -149,8 +152,15 @@ def test_defaults_match_reference_table():
         {"cell_radius_km": 0.0},
         {"min_distance_km": 0.0},
         {"min_distance_km": 12.0},
-        {"realizations": 0},
         {"seed": -1},
+        # Link budgets that would divide by zero in the noise-only success.
+        {"tx_power_dbm": -4000.0},  # the transmit power underflows to 0
+        {"tx_power_dbm": 4000.0},  # ... or overflows
+        {"noise_density_dbm_hz": 4000.0},  # the noise floor overflows
+        {"noise_figure_db": 4000.0},
+        {"carrier_hz": 1e300},  # the cell-edge received power underflows to 0
+        {"path_loss_exponent": 60.0},
+        {"cell_radius_km": 1e300},
     ]
     + [{f.name: v} for f in fields(NetworkConfig) for v in (math.nan, math.inf)],
 )
@@ -158,6 +168,12 @@ def test_invalid_config_rejected(kwargs):
     (key,) = kwargs
     with pytest.raises(ConfigError, match=key):
         NetworkConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"path_loss_exponent": 56.0}, {"tx_power_dbm": -3000.0}])
+def test_link_budget_of_subnormal_edge_power_accepted(kwargs):
+    """The cell-edge received power is subnormal here, but positive."""
+    NetworkConfig(**kwargs)
 
 
 def test_parse_config_text_empty_gives_defaults():
@@ -170,20 +186,18 @@ def test_parse_config_text_overrides_and_comments():
     # reference deployment, tweaked
     cell_radius_km = 6
     mean_devices = 250.5
-    realizations = 5000   # desk scale
-    seed = 99
+    seed = 99   # trailing comment
     """
     values = parse_config_text(text)
     assert values == {
         "cell_radius_km": 6.0,
         "mean_devices": 250.5,
-        "realizations": 5000,
         "seed": 99,
     }
     cfg = NetworkConfig(**values)
     assert cfg.cell_radius_km == 6.0
     assert cfg.duty_cycle == 0.01  # untouched default
-    assert isinstance(cfg.realizations, int)
+    assert isinstance(cfg.seed, int)
 
 
 def test_parse_config_text_unknown_key_names_offender():
@@ -211,7 +225,9 @@ def test_parse_config_text_integers_are_exact():
     assert parse_config_text("seed = 9007199254740993") == {"seed": 9007199254740993}
     assert parse_config_text("seed = 12345678901234567891") == {"seed": 12345678901234567891}
     # An integral float form is still read below 2**53.
-    assert parse_config_text("realizations = 1e5") == {"realizations": 100_000}
+    assert parse_config_text("seed = 1e5") == {"seed": 100_000}
+    with pytest.raises(ConfigError, match="'seed' needs an integer"):
+        parse_config_text("seed = 1.5")
     assert parse_config_text("seed = 9007199254740991.0") == {"seed": 9007199254740991}
     for raw in ("9007199254740993.0", "9007199254740992.0", "1e16"):
         with pytest.raises(ConfigError, match="'seed'"):
