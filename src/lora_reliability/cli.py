@@ -166,16 +166,27 @@ def _check_conversion_round_trip() -> tuple[bool, str]:
 
 
 def _check_saw_tooth(cfg: NetworkConfig) -> tuple[bool, str]:
+    # A success of exactly 0 or 1 on both sides (a deaf or a noiseless
+    # link) cannot jump, so only there is a level value excused; a drop
+    # fails anywhere.
     r = cfg.cell_radius_km
+    saturated = []
     for k in range(1, 6):
         boundary = k * r / 6.0
         below = boundary * (1.0 - 1e-9)
         above = boundary * (1.0 + 1e-9)
         p_below = snr_success_probability(below, annulus_to_sf(below, r), cfg)
         p_above = snr_success_probability(above, annulus_to_sf(above, r), cfg)
-        if p_above <= p_below:
+        if p_above == p_below and p_below in (0.0, 1.0):
+            saturated.append(f"{boundary} km (at {p_below:g})")
+        elif p_above <= p_below:
             return False, f"no upward jump at annulus boundary {boundary} km"
-    return True, "noise-only success jumps upward at all 5 annulus boundaries"
+    if not saturated:
+        return True, "noise-only success jumps upward at all 5 annulus boundaries"
+    return True, (
+        f"noise-only success jumps upward at {5 - len(saturated)} of 5 annulus "
+        f"boundaries and is saturated at {', '.join(saturated)}"
+    )
 
 
 def _check_interference_algebra(cfg: NetworkConfig) -> tuple[bool, str]:

@@ -66,8 +66,9 @@ factors 1/2 and 1/4 go on the finished means, so the scenario order
 computes ``y`` once per (annulus, batch), since the grid points of one
 annulus read the same ``P`` and ``f`` and differ only in ``G``, and
 evaluates those points together in row blocks of at most ``_BLOCK``
-elements, on the calling thread; the density sweep evaluates each point as
-one row with ``f = 1`` and ``G = s``.
+elements, one task per (annulus, batch) that its threads run while they
+draw the next batches; the density sweep evaluates each point as one row
+with ``f = 1`` and ``G = s``.
 
 The interference field is sampled in its thinned form: instead of drawing
 Poisson(mean_devices) candidates and keeping each with the duty-cycle
@@ -87,8 +88,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import threading
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +126,10 @@ _CHUNK = 1 << 15
 # points of one annulus together, as many rows of a batch as fit.  Not part
 # of the stream contract: a point's sums are the same at any block size.
 _BLOCK = 5 * _BATCH
+
+# Batches the distance sweep draws ahead of the one it evaluates, so its
+# threads draw while they evaluate.  Not part of the stream contract.
+_AHEAD = 2
 
 # Stream tags keep the generator families of the different draw purposes
 # disjoint.  The density sweep samples the desired devices' distances and
@@ -393,37 +400,70 @@ def _ring_intervals(cfg: NetworkConfig) -> list[tuple[float, float]]:
     ]
 
 
+def _now(fn: Callable, *args) -> Future:
+    """The ``submit`` of one thread: ``fn(*args)`` now, as a done future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+@contextlib.contextmanager
+def _submitter(threads: int) -> Iterator[Callable[..., Future]]:
+    """:func:`_now` for one thread, else the ``submit`` of a pool of
+    ``threads`` threads that lives as long as the context."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        yield _now
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool.submit
+
+
 def _ring_batches(
-    cfg: NetworkConfig, n: int, seed: int, run: Callable = map
+    cfg: NetworkConfig, n: int, seed: int, submit: Callable[..., Future] = _now
 ) -> Iterator[list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
     """Per batch of ``n`` realizations, in batch order: the desired fading
     and the field powers of a desired device in each annulus, in annulus
-    order.
+    order (:func:`_fold`).
 
     The active devices are the superposition of six independent Poisson
     processes, one per annulus (:func:`_ring_intervals`).  Batch ``b`` of
     annulus k draws annulus k's desired fading, then its sub-field, from
-    generator ``(seed, _TAG_DISTANCE, k, b)``.  Annulus k reads its own
-    sub-field's strongest term and sum, and as inter-SF power the other five
-    sums added in annulus order: the total minus its own sum would cancel to
-    0 where its own sum dominates, and turn a finite SIR into inf.  ``run``
-    is ``map`` or a thread pool's ``map``; the bytes are the same for both.
+    generator ``(seed, _TAG_DISTANCE, k, b)``, as a task of ``submit``:
+    :func:`_now` or a thread pool's ``submit``, with the same bytes.  Batch
+    ``b`` is folded once the draws of batch ``b + _AHEAD`` are submitted,
+    and those of batch ``b + _AHEAD + 1`` only when the next batch is asked
+    for, so at most ``_AHEAD + 1`` batches are drawn and not yet folded.
     """
     intervals = _ring_intervals(cfg)
-    for batch_index, batch in _batches(n):
-
-        def draw(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-            stream = (seed, _TAG_DISTANCE, k, batch_index)
-            return _draw(stream, batch, cfg.mean_devices, cfg, intervals[k])
-
-        # Outer annuli hold more devices; starting them first evens the
+    pending: deque[list[Future]] = deque()
+    for b, batch in _batches(n):
+        # Outer annuli hold more devices; submitting them first evens the
         # threads' loads.
-        rings = list(run(draw, range(5, -1, -1)))[::-1]
-        sums = [power for _, (_, power) in rings]
-        yield [
-            (fading, (strongest, sums[k], sum(sums[j] for j in range(6) if j != k)))
-            for k, (fading, (strongest, _)) in enumerate(rings)
+        draws = [
+            submit(_draw, (seed, _TAG_DISTANCE, k, b), batch, cfg.mean_devices, cfg, intervals[k])
+            for k in range(5, -1, -1)
         ]
+        pending.append(draws[::-1])
+        if len(pending) > _AHEAD:
+            yield _fold(pending.popleft())
+    while pending:
+        yield _fold(pending.popleft())
+
+
+def _fold(draws: list[Future]) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """One batch's six sub-field draws, in annulus order, as each annulus's
+    desired fading and field powers: its own sub-field's strongest term and
+    sum, and as inter-SF power the other five sums added in annulus order.
+    The total minus its own sum would cancel to 0 where its own sum
+    dominates, and turn a finite SIR into inf."""
+    rings = [draw.result() for draw in draws]
+    sums = [power for _, (_, power) in rings]
+    return [
+        (fading, (strongest, sums[k], sum(sums[j] for j in range(6) if j != k)))
+        for k, (fading, (strongest, _)) in enumerate(rings)
+    ]
 
 
 def _sirs(
@@ -597,19 +637,6 @@ def _density_batches(
         yield s, s_snr, _nested_field_powers(draws, annulus, steps, cfg)
 
 
-@contextlib.contextmanager
-def _mapper(threads: int) -> Iterator[Callable]:
-    """``map`` for one thread, else the ``map`` of a pool of ``threads``
-    threads that lives as long as the context; both keep input order."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        yield map
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pool.map
-
-
 def success_vs_distance(
     cfg: NetworkConfig,
     spec: SweepSpec,
@@ -627,9 +654,10 @@ def success_vs_distance(
     on the rest of the grid, and all points are positively correlated,
     those of one annulus most.
 
-    ``threads`` workers draw the sub-fields; the points are evaluated on the
-    calling thread, each annulus's points together, in row blocks that share
-    the annulus's scaled powers (:func:`_scaled`, :func:`_evaluate`).
+    ``threads`` workers draw the sub-fields of the next ``_AHEAD`` batches
+    while they evaluate the current one, one task per annulus, in row blocks
+    that share its scaled powers (:func:`_scaled`, :func:`_evaluate`).  Each
+    task sums into a zeroed array of its own, added in batch order.
     """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
@@ -641,20 +669,31 @@ def success_vs_distance(
     # A block holds at most max(_BLOCK, batch) elements, and at most one
     # batch of each point of the annulus.
     widest = max(hi - lo for lo, hi in zip(starts, starts[1:]))
-    scratch = np.empty((3, min(max(_BLOCK, _BATCH), widest * _BATCH)))
-    y = np.empty((3, _BATCH))
-    with _mapper(threads) as run:
-        for rings in _ring_batches(cfg, spec.realizations_per_point, spec.seed, run):
-            rows = max(1, _BLOCK // rings[0][0].size)
-            for ring, (fading, powers) in enumerate(rings):
-                lo, hi = starts[ring], starts[ring + 1]
-                if lo == hi:
-                    continue
-                # One row of realizations per scenario, against a column of gains.
-                y_ring = _scaled(powers, fading, y[:, : fading.size])[:, np.newaxis]
-                for row in range(lo, hi, rows):
-                    block = slice(row, min(row + rows, hi))
-                    _evaluate(y_ring, gains[block], sums[block], scratch)
+    scratch_shape = (3, min(max(_BLOCK, _BATCH), widest * _BATCH))
+    work = threading.local()  # one scratch array per thread
+
+    def evaluate(fading: np.ndarray, powers: tuple, g: np.ndarray) -> np.ndarray:
+        # One annulus's sums over one batch, in a zeroed array of its own.
+        if not hasattr(work, "scratch"):
+            work.scratch = np.empty(scratch_shape)
+        part = np.zeros((g.shape[0], sums.shape[1]))
+        # One row of realizations per scenario, against a column of gains.
+        y = _scaled(powers, fading, np.empty((3, fading.size)))[:, np.newaxis]
+        rows = max(1, _BLOCK // fading.size)
+        for row in range(0, g.shape[0], rows):
+            _evaluate(y, g[row : row + rows], part[row : row + rows], work.scratch)
+        return part
+
+    with _submitter(threads) as submit:
+        for rings in _ring_batches(cfg, spec.realizations_per_point, spec.seed, submit):
+            parts = [
+                (lo, hi, submit(evaluate, *rings[ring], gains[lo:hi]))
+                for ring, (lo, hi) in enumerate(zip(starts, starts[1:]))
+                if lo < hi
+            ]
+            # 0 + part is part, so a point's sums are the same at any thread count.
+            for lo, hi, part in parts:
+                sums[lo:hi] += part.result()
     n = spec.realizations_per_point
     return [
         _curve_point(d_km, row, n, snr_success_probability(d_km, SF_MIN + ring, cfg))

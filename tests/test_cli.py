@@ -387,6 +387,43 @@ def test_validate_fails_on_swapped_kernel(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "setting, level",
+    [("tx_power_dbm = -3000", "0"), ("path_loss_exponent = 56", "0"), ("tx_power_dbm = 3000", "1")],
+)
+def test_validate_passes_saturated_noise_only_success(setting, level, tmp_path, capsys):
+    """A link so weak, or so strong, that the noise-only success is 0 (or
+    1) on both sides of every annulus boundary has no jump to show; the
+    saw-tooth check names those boundaries and passes."""
+    cfg_path = tmp_path / "net.cfg"
+    cfg_path.write_text(setting + "\n")
+    code, out, _ = run_cli(["validate", "--config", str(cfg_path)], capsys)
+    assert code == 0, out
+    saw_tooth = next(line for line in out.splitlines() if "annulus saw-tooth" in line)
+    assert saw_tooth.startswith("PASS")
+    assert "upward at 0 of 5" in saw_tooth
+    assert saw_tooth.count(f"(at {level})") == 5
+
+
+@pytest.mark.parametrize(
+    "success",
+    [
+        lambda d_km, sf, cfg: 0.95 - 0.1 * (sf - 7),  # a drop inside (0, 1)
+        lambda d_km, sf, cfg: 1.0 if sf == 7 else 0.5,  # a drop from 1
+        lambda d_km, sf, cfg: 0.5,  # level inside (0, 1)
+    ],
+    ids=["drop", "drop-from-one", "level"],
+)
+def test_validate_fails_without_upward_jump(monkeypatch, capsys, success):
+    """Only a success of exactly 0 or 1 on both sides of a boundary excuses
+    the missing jump: a drop, saturated on one side or not, and a level
+    success inside (0, 1) still fail."""
+    monkeypatch.setattr("lora_reliability.cli.snr_success_probability", success)
+    code, out, _ = run_cli(["validate"], capsys)
+    assert code == 1
+    assert "FAIL annulus saw-tooth: no upward jump at annulus boundary 2.0 km" in out
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         # A mean of SIR draws has no stable value, so no sweep offers one.

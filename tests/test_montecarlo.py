@@ -171,10 +171,10 @@ BLOCK_GRID = (1.0, 2.2, 2.7, 3.1, 3.6, 6.1, 6.5, 7.0, 7.4, 7.9) + tuple(
 )
 
 
-def _distance_sums_and_csv(monkeypatch, threads):
-    """The per-point raw sums of a distance sweep of BLOCK_GRID (one full
-    batch and a partial one), as the sweep hands them to ``_curve_point``,
-    and its CSV."""
+def _distance_sums_and_csv(monkeypatch, threads, n=5000):
+    """The per-point raw sums of a distance sweep of BLOCK_GRID (by default
+    one full batch and a partial one), as the sweep hands them to
+    ``_curve_point``, and its CSV."""
     recorded = []
     curve_point = montecarlo._curve_point
 
@@ -184,7 +184,7 @@ def _distance_sums_and_csv(monkeypatch, threads):
 
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "_curve_point", record)
-        spec = _distance_spec(BLOCK_GRID, n=5000, seed=3)
+        spec = _distance_spec(BLOCK_GRID, n=n, seed=3)
         points = success_vs_distance(NetworkConfig(), spec, threads=threads)
     return np.array(recorded), curve_to_csv(points, "d_km")
 
@@ -201,6 +201,57 @@ def test_output_independent_of_block_size(monkeypatch, block, threads):
     sums, csv = _distance_sums_and_csv(monkeypatch, threads)
     np.testing.assert_array_equal(sums, default_sums)
     assert csv == default_csv
+
+
+# Six full batches and a partial one: more than the draws kept in flight.
+PIPELINE_N = 6 * montecarlo._BATCH + 100
+
+
+def test_point_sums_independent_of_thread_count(monkeypatch):
+    """The threads draw the next batches while they evaluate this one, one
+    task per annulus into a zeroed array of its own, and the sums are added
+    in batch order: every point's raw sums, empty annuli and the partial
+    batch included, are the same doubles at any thread count."""
+    assert len(montecarlo._batches(PIPELINE_N)) > montecarlo._AHEAD + 1
+    single_sums, single_csv = _distance_sums_and_csv(monkeypatch, 1, PIPELINE_N)
+    for threads in (2, 3, 8):
+        sums, csv = _distance_sums_and_csv(monkeypatch, threads, PIPELINE_N)
+        np.testing.assert_array_equal(sums, single_sums)
+        assert csv == single_csv
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_draws_run_at_most_the_lookahead_ahead(monkeypatch, threads):
+    """A batch's draws start only once the batch ``_AHEAD + 1`` before it is
+    folded, so at most ``_AHEAD + 1`` batches are drawn and not yet folded,
+    at any realization count; one thread draws exactly ``_AHEAD`` ahead."""
+    events = []
+    draw, fold = montecarlo._draw, montecarlo._fold
+
+    def record_draw(stream, *args):
+        events.append(("draw", stream[-1]))  # the stream's batch index
+        return draw(stream, *args)
+
+    def record_fold(draws):
+        rings = fold(draws)
+        events.append(("fold", None))
+        return rings
+
+    monkeypatch.setattr(montecarlo, "_draw", record_draw)
+    monkeypatch.setattr(montecarlo, "_fold", record_fold)
+    spec = _distance_spec(BLOCK_GRID, n=PIPELINE_N, seed=3)
+    success_vs_distance(NetworkConfig(), spec, threads=threads)
+    folded, leads = 0, []
+    for kind, batch in events:
+        if kind == "fold":
+            folded += 1
+        else:
+            leads.append(batch - folded)
+    assert folded == len(montecarlo._batches(PIPELINE_N))
+    assert len(leads) == 6 * folded
+    assert max(leads) <= montecarlo._AHEAD
+    if threads == 1:
+        assert max(leads) == montecarlo._AHEAD
 
 
 def _sampler_arrays(batch):

@@ -216,8 +216,10 @@ def test_parse_config_text_duplicate_key():
 def test_parse_config_text_bad_value():
     with pytest.raises(ConfigError, match="tx_power_dbm"):
         parse_config_text("tx_power_dbm = loud")
-    with pytest.raises(ConfigError, match="realizations"):
-        parse_config_text("realizations = 1.5")
+    # seed is the one integer key: a non-integer value fails the integer
+    # check, not the unknown-key one.
+    with pytest.raises(ConfigError, match="'seed' needs an integer, got '1.5'"):
+        parse_config_text("seed = 1.5")
 
 
 def test_parse_config_text_integers_are_exact():
