@@ -7,11 +7,8 @@ from .analytic import (
     ScenarioProbabilities,
     outage_closed_form,
     outage_numeric_oracle,
-    q_bound,
-    q_function,
-    success_from_sir,
 )
-from .channel import ChannelModel, path_loss, snr_success_probability
+from .channel import ChannelModel, snr_success_probability
 from .montecarlo import (
     CurvePoint,
     SirStats,
@@ -23,20 +20,12 @@ from .montecarlo import (
     success_vs_distance,
 )
 from .params import (
-    CO_CHANNEL_REJECTION,
     ConfigError,
     NetworkConfig,
     OutOfCellError,
     SfParams,
     annulus_to_sf,
-    db_to_linear,
-    dbm_to_mw,
-    mw_to_dbm,
-    noise_floor_dbm,
-    parse_config_text,
-    sf_params,
     sf_table,
-    wavelength_m,
 )
 from .reference import sample_realization, sir_sample
 

@@ -72,19 +72,15 @@ def outage_closed_form(gamma_bar: float) -> float:
     return 0.5 * (1.0 - math.sqrt(t))
 
 
-def success_from_sir(sir: float) -> float:
-    """Per-realization success probability 1 - outage at the given SIR.
+def success_from_sir_array(gamma: np.ndarray) -> np.ndarray:
+    """Per-realization success probability ``1 - outage`` at each SIR;
+    bit-identical to ``1.0 - outage_closed_form(g)`` for the same inputs
+    (same operation chain).
 
-    Note the floor of 0.5 at sir = 0: the coherent-FSK error rate never
+    Note the floor of 0.5 at SIR 0: the coherent-FSK error rate never
     exceeds one half, so even a fully jammed frame keeps success 0.5 under
     this error model.
     """
-    return 1.0 - outage_closed_form(sir)
-
-
-def success_from_sir_array(gamma: np.ndarray) -> np.ndarray:
-    """Vector counterpart of :func:`success_from_sir`; bit-identical to the
-    scalar for the same inputs (same operation chain)."""
     with np.errstate(divide="ignore"):
         t = 1.0 / (1.0 + 2.0 / gamma)
     return 1.0 - 0.5 * (1.0 - np.sqrt(t))

@@ -60,23 +60,16 @@ def path_loss_array(d_km: np.ndarray, model: ChannelModel) -> np.ndarray:
     return (model.wavelength_m / (4.0 * math.pi * d_m)) ** model.path_loss_exponent
 
 
-def _success_given_threshold(
-    theta_linear: float, noise_mw: float, tx_power_mw: float, gain: float
-) -> float:
-    """P[power * fading * gain / noise >= theta] for unit-mean exponential
-    fading, i.e. exp(-noise * theta / (power * gain))."""
-    return math.exp(-(noise_mw * theta_linear) / (tx_power_mw * gain))
-
-
 def snr_success_probability(d_km: float, sf: int, cfg: NetworkConfig) -> float:
     """Closed-form probability that a frame at distance ``d_km`` using ``sf``
-    survives noise alone (no interference)."""
+    survives noise alone (no interference): under unit-mean exponential
+    fading, P[power * fading * gain / noise >= theta] is
+    exp(-noise * theta / (power * gain))."""
     if not 0 < d_km <= cfg.cell_radius_km:
         raise ValueError(
             f"distance {d_km} km outside cell (0, {cfg.cell_radius_km}] km"
         )
     model = ChannelModel.from_config(cfg)
     theta = db_to_linear(sf_params(sf).snr_threshold_db)
-    return _success_given_threshold(
-        theta, model.noise_mw, dbm_to_mw(cfg.tx_power_dbm), path_loss(d_km, model)
-    )
+    gain = path_loss(d_km, model)
+    return math.exp(-(model.noise_mw * theta) / (dbm_to_mw(cfg.tx_power_dbm) * gain))

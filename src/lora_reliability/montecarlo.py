@@ -30,14 +30,17 @@ grid points below it, and its interference columns never rise with
 
 Both interference samplers cut their active interferers into chunks of at
 most ``_CHUNK``, at any count, so their memory per worker thread is bounded
-whatever the mean device count.  The chunk size is not part of the stream
-contract: the draws, and the order in which each realization's terms are
-added, are the same at any chunk size.  :func:`_nested_field_powers` reads
-each of its generators in order across chunks and adds term by term
-(``ufunc.at``); its owner draws take 32-bit words, whose spare half PCG64
-keeps in the bit generator between calls.  :func:`_field_powers` folds each
-chunk per realization and carries a realization cut between two chunks into
-the next, regrouping its sum at the cut.  It relies on PCG64's ``advance``
+whatever the mean device count.  The draws are the same at any chunk size.
+:func:`_nested_field_powers` reads each of its generators in order across
+chunks and adds term by term (``ufunc.at``), so its sums are too; its owner
+draws take 32-bit words, whose spare half PCG64 keeps in the bit generator
+between calls.  :func:`_field_powers` folds each chunk per realization with
+``np.add.reduceat``, which does not add a segment left to right, and carries
+a realization cut between two chunks into the next, regrouping its sum at
+the cut.  So the chunk size is part of the distance sweep's byte contract
+where sub-fields span several chunks: at 20000 mean devices, 9000
+realizations and seed 1, a chunk of 4096 changes 2 of the default grid's
+120 CSV rows.  It relies on PCG64's ``advance``
 and on ``Generator.random`` using one 64-bit word per double: its fading
 draws come from a copy of the batch generator advanced past the position
 draws.
@@ -118,8 +121,10 @@ DENSITY_GRID_POINTS = 30
 _BATCH = 4096
 
 # Interferers per chunk of the interference kernel: bounds its memory and
-# keeps its working set in cache.  Not part of the stream contract; the
-# kernel reads it at call time.
+# keeps its working set in cache.  It changes no draw, but it is part of the
+# distance sweep's byte contract at high mean device counts, where the cut
+# regroups a realization's sum (module docstring).  The kernel reads it at
+# call time.
 _CHUNK = 1 << 15
 
 # Elements per block of the point step: the distance sweep evaluates the
@@ -364,17 +369,14 @@ def _nested_field_powers(
 
 
 def _draw(
-    stream: tuple[int, ...],
-    batch: int,
-    n_bar: float,
-    cfg: NetworkConfig,
-    interval: tuple[float, float],
+    stream: tuple[int, ...], batch: int, cfg: NetworkConfig, interval: tuple[float, float]
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One batch from generator ``stream``: the desired fading, then the
-    powers of one annulus's sub-field (see :func:`_field_powers`)."""
+    powers of one annulus's sub-field at ``cfg.mean_devices`` (see
+    :func:`_field_powers`)."""
     rng = np.random.default_rng(stream)
     fading = _desired_fading(rng, batch)
-    return fading, _field_powers(rng, batch, n_bar, cfg, interval)
+    return fading, _field_powers(rng, batch, cfg.mean_devices, cfg, interval)
 
 
 def _desired_fading(rng: np.random.Generator, batch: int) -> np.ndarray:
@@ -442,7 +444,7 @@ def _ring_batches(
         # Outer annuli hold more devices; submitting them first evens the
         # threads' loads.
         draws = [
-            submit(_draw, (seed, _TAG_DISTANCE, k, b), batch, cfg.mean_devices, cfg, intervals[k])
+            submit(_draw, (seed, _TAG_DISTANCE, k, b), batch, cfg, intervals[k])
             for k in range(5, -1, -1)
         ]
         pending.append(draws[::-1])
@@ -599,13 +601,12 @@ def _pinned(cfg: NetworkConfig, d_km: float) -> tuple[float, int]:
     return gain, annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
 
 
-def _by_area(
-    u: np.ndarray, cfg: NetworkConfig, model: ChannelModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _by_area(u: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Desired devices at uniform-by-area draws ``u``: their normalized gain
     ``v**(-eta/2)`` and annulus index, from the clamped area fraction
     ``v = max(u, (d_min/R)**2)``, and their noise-only success.  The
     physical gain is the cell-edge gain times the normalized one."""
+    model = ChannelModel.from_config(cfg)
     v = np.maximum(u, (cfg.min_distance_km / cfg.cell_radius_km) ** 2)
     annulus = np.searchsorted(_RING_U, v, side="right") - 1
     gain = v ** (-0.5 * cfg.path_loss_exponent)
@@ -615,7 +616,7 @@ def _by_area(
 
 
 def _density_batches(
-    cfg: NetworkConfig, grid: tuple[float, ...], n: int, seed: int, model: ChannelModel
+    cfg: NetworkConfig, grid: tuple[float, ...], n: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
     """Per batch of ``n`` realizations, in batch order: the desired signals
     in normalized units, their noise-only success, and the running field
@@ -629,7 +630,7 @@ def _density_batches(
     steps = np.diff(grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
     for batch_index, batch in _batches(n):
         rng = np.random.default_rng([seed, _TAG_DENSITY_DESIRED, batch_index])
-        gain, annulus, s_snr = _by_area(rng.random(batch), cfg, model)
+        gain, annulus, s_snr = _by_area(rng.random(batch), cfg)
         s = gain * _desired_fading(rng, batch)
         draws = tuple(
             np.random.default_rng([seed, _TAG_DENSITY_FIELD, batch_index, j]) for j in range(3)
@@ -734,12 +735,11 @@ def coverage_vs_density(
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    model = ChannelModel.from_config(cfg)
     sums = np.zeros((len(spec.grid), 8))
     snr = np.zeros(2)
     scratch = np.empty((3, _BATCH))
     y = np.empty((3, _BATCH))
-    batches = _density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed, model)
+    batches = _density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed)
     for s, s_snr, fields in batches:
         snr += s_snr.sum(), (s_snr * s_snr).sum()
         for row, powers in zip(sums, fields):

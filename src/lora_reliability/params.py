@@ -7,7 +7,6 @@ stays traceable to its data sheet value.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, fields
 
@@ -209,25 +208,17 @@ _FIELD_NAMES = frozenset(f.name for f in fields(NetworkConfig))
 
 
 def _parse_value(key: str, raw: str) -> float | int:
+    # An integer key takes an integer literal alone, as --seed and
+    # LORA_REL_SEED do.
     if key in _INT_FIELDS:
-        # An integer literal is read exactly, at any size; an integral float
-        # form such as 1e5 only below 2**53, where every integer is a double.
-        with contextlib.suppress(ValueError):
+        try:
             return int(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} needs an integer, got {raw!r}") from None
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r} has a non-numeric value {raw!r}") from None
-    if key not in _INT_FIELDS:
-        return value
-    if not value.is_integer():
-        raise ConfigError(f"config key {key!r} needs an integer, got {raw!r}")
-    if abs(value) >= 2.0**53:
-        raise ConfigError(
-            f"config key {key!r} value {raw!r} is not exact as a float; "
-            "write it as an integer literal"
-        )
-    return int(value)
 
 
 def parse_config_text(text: str) -> dict[str, float | int]:

@@ -12,7 +12,6 @@ from lora_reliability.analytic import (
     outage_numeric_oracle,
     q_bound,
     q_function,
-    success_from_sir,
     success_from_sir_array,
 )
 
@@ -127,9 +126,9 @@ def test_quadrature_validates_inputs():
 
 
 def test_success_from_sir_values():
-    assert success_from_sir(math.inf) == 1.0
-    assert success_from_sir(0.0) == 0.5
-    assert success_from_sir(2.0) == pytest.approx(0.8535533905932737, rel=1e-12)
+    assert 1.0 - outage_closed_form(math.inf) == 1.0
+    assert 1.0 - outage_closed_form(0.0) == 0.5
+    assert 1.0 - outage_closed_form(2.0) == pytest.approx(0.8535533905932737, rel=1e-12)
 
 
 def test_success_array_matches_scalar_bitwise():
@@ -138,7 +137,7 @@ def test_success_array_matches_scalar_bitwise():
     )
     vec = success_from_sir_array(gammas)
     for g, v in zip(gammas, vec):
-        assert v == success_from_sir(float(g))
+        assert v == 1.0 - outage_closed_form(float(g))
 
 
 @given(
@@ -147,14 +146,14 @@ def test_success_array_matches_scalar_bitwise():
 )
 def test_success_from_sir_float_monotone(g1, g2):
     lo, hi = sorted((g1, g2))
-    assert success_from_sir(lo) <= success_from_sir(hi)
+    assert 1.0 - outage_closed_form(lo) <= 1.0 - outage_closed_form(hi)
 
 
 @given(st.floats(min_value=1e-300, max_value=1e300))
 def test_success_dominance_under_4x(gamma):
     # the strongest-interferer SIR is at least 4x the sum-based SIR;
     # success must preserve that ordering exactly in floats
-    assert success_from_sir(4.0 * gamma) >= success_from_sir(gamma)
+    assert 1.0 - outage_closed_form(4.0 * gamma) >= 1.0 - outage_closed_form(gamma)
 
 
 def test_scenario_probabilities_validation():

@@ -7,7 +7,6 @@ from scipy import optimize
 
 from lora_reliability.channel import (
     ChannelModel,
-    _success_given_threshold,
     path_loss,
     path_loss_array,
     snr_success_probability,
@@ -98,10 +97,6 @@ def test_snr_success_reference_value():
     cfg = NetworkConfig()
     # frozen from an independent evaluation of exp(-N*theta/(P*gain))
     assert snr_success_probability(1.0, 7, cfg) == pytest.approx(0.9871561553907778, rel=1e-9)
-
-
-def test_snr_success_zero_threshold_is_certain():
-    assert _success_given_threshold(0.0, 1e-12, 79.4, 1e-13) == 1.0
 
 
 def test_snr_success_unit_exponent():

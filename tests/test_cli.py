@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -495,6 +496,49 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command line does not parse: {' '.join(argv)}")
+
+
+ROOT_NAMES = {
+    "ChannelModel", "ConfigError", "CurvePoint", "NetworkConfig", "OutOfCellError",
+    "QuadratureError", "ScenarioProbabilities", "SfParams", "SirStats", "SweepSpec",
+    "annulus_to_sf", "coverage_vs_density", "default_density_grid", "default_distance_grid",
+    "estimate_mean_sir", "outage_closed_form", "outage_numeric_oracle", "sample_realization",
+    "sf_table", "sir_sample", "snr_success_probability", "success_vs_distance",
+}
+
+
+def test_package_root_names():
+    """The root re-exports what its callers use, or what those return or
+    raise, and ``__version__``; helpers such as the unit conversions stay in
+    their modules."""
+    names = {
+        name
+        for name, value in vars(lora_reliability).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == ROOT_NAMES
+    assert isinstance(lora_reliability.__version__, str)
+    # The benchmark's probes reach through these two modules.
+    assert callable(lora_reliability.channel.path_loss_array)
+    assert callable(lora_reliability.analytic.success_from_sir_array)
+
+
+def test_readme_library_block_runs(capsys):
+    """The README's ``python`` block runs as written, and each value it
+    prints starts with the one its comment gives."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    blocks = [block for block in blocks if block.startswith("python")]
+    assert len(blocks) == 1
+    code = blocks[0].removeprefix("python")
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    expected = [
+        line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")
+    ]
+    assert len(printed) == len(expected) >= 2
+    for got, want in zip(printed, expected):
+        assert got.startswith(want.removesuffix("...")), (got, want)
 
 
 def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):

@@ -102,7 +102,7 @@ def _desired(kind, cfg, model, rng, batch):
         annulus = annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
         return norm * fading, tx_mw * path_loss(d_km, model) * fading, annulus, annulus
     u = rng.random(batch)
-    norm, annulus, _ = montecarlo._by_area(u, cfg, model)
+    norm, annulus, _ = montecarlo._by_area(u, cfg)
     dist = np.maximum(cfg.min_distance_km, cfg.cell_radius_km * np.sqrt(u))
     ring = np.minimum((6.0 * dist / cfg.cell_radius_km).astype(np.int64), 5)
     return norm * fading, tx_mw * path_loss_array(dist, model) * fading, annulus, ring
@@ -193,7 +193,7 @@ def test_kernel_ring_start_belongs_to_outer_ring():
 def test_desired_ring_start_belongs_to_outer_ring():
     for r in RADII_KM:
         cfg = NetworkConfig(cell_radius_km=r)
-        _, annulus, _ = montecarlo._by_area(RING_START_U, cfg, ChannelModel.from_config(cfg))
+        _, annulus, _ = montecarlo._by_area(RING_START_U, cfg)
         np.testing.assert_array_equal(annulus, np.arange(6), err_msg=f"R={r}")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lora_reliability import montecarlo
+from lora_reliability.analytic import outage_closed_form
 from lora_reliability.channel import ChannelModel, snr_success_probability
 from lora_reliability.cli import curve_to_csv
 from lora_reliability.montecarlo import (
@@ -15,7 +16,6 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.analytic import success_from_sir
 from lora_reliability.params import SF_MIN, NetworkConfig, annulus_to_sf
 from lora_reliability.reference import sample_realization, sir_sample
 
@@ -145,10 +145,13 @@ def test_sweeps_reject_threads_below_one(kind, threads):
 
 @pytest.mark.parametrize("chunk", [1, 97])
 def test_output_independent_of_chunk_size(monkeypatch, chunk):
-    """The interferers-per-chunk cap is not part of the stream contract.
-    n_bar = 0 and 1 leave most realizations empty, so empty realizations
-    fall at chunk ends; chunk 1 makes every busy realization its own
-    chunk."""
+    """At these sizes the CSV bytes do not depend on the interferers-per-
+    chunk cap.  n_bar = 0 and 1 leave most realizations empty, so empty
+    realizations fall at chunk ends; chunk 1 makes every busy realization
+    its own chunk.  The cap is part of the distance sweep's byte contract at
+    high mean device counts all the same: a realization cut between two
+    chunks has its sum regrouped, and at 20000 mean devices (default grid,
+    9000 realizations, seed 1) a cap of 4096 changes 2 of the 120 rows."""
     cfg = NetworkConfig()
     distance = _distance_spec((0.5, 6.0, 11.5), n=5000, seed=5)
     density = _density_spec((0.0, 1.0, 30.0, 3000.0), n=5000, seed=5)
@@ -338,9 +341,7 @@ def test_ring_inter_power_is_the_other_rings_sums_in_ring_order():
     for b, rings in enumerate(montecarlo._ring_batches(cfg, 5000, 9)):
         batch = rings[0][0].size
         sub = [
-            montecarlo._draw(
-                (9, montecarlo._TAG_DISTANCE, j, b), batch, cfg.mean_devices, cfg, intervals[j]
-            )
+            montecarlo._draw((9, montecarlo._TAG_DISTANCE, j, b), batch, cfg, intervals[j])
             for j in range(6)
         ]
         for k, (fading, (strongest, co, inter)) in enumerate(rings):
@@ -385,9 +386,9 @@ def test_kernel_matches_object_level_path():
     acc = {"max_co": [], "co": [], "sf": []}
     for _ in range(n):
         s = sir_sample(sample_realization(cfg, d, rng), model)
-        s_co = success_from_sir(s.gamma_co)
-        s_inter = success_from_sir(s.gamma_inter)
-        acc["max_co"].append(success_from_sir(s.gamma_max_co))
+        s_co = 1.0 - outage_closed_form(s.gamma_co)
+        s_inter = 1.0 - outage_closed_form(s.gamma_inter)
+        acc["max_co"].append(1.0 - outage_closed_form(s.gamma_max_co))
         acc["co"].append(s_co)
         acc["sf"].append(s_co * s_inter)
 
@@ -427,7 +428,7 @@ def test_density_increment_counts_are_poisson():
     grid = (0.0,) + default_density_grid(300.0, 12)
     n = 2 * 4096 + 2000
     empty = np.zeros(len(grid))
-    batches = montecarlo._density_batches(cfg, grid, n, 13, ChannelModel.from_config(cfg))
+    batches = montecarlo._density_batches(cfg, grid, n, 13)
     for _, _, fields in batches:
         for i, (_, co_power, inter_power) in enumerate(fields):
             empty[i] += np.count_nonzero((co_power == 0.0) & (inter_power == 0.0))
@@ -569,3 +570,81 @@ def test_ratio_of_fadings_median():
     ratio = rng.exponential(size=200_000) / rng.exponential(size=200_000)
     assert float(np.median(ratio)) == pytest.approx(1.0, abs=0.02)
     assert ratio.mean() > 10.0 * float(np.median(ratio))
+
+
+def _direct(values, n):
+    """Mean and standard error of one column's per-realization values, in
+    the two-pass form, and the condition number ``mean(x**2) / var(x)`` of
+    the sweep's sum-of-squares form."""
+    values = np.concatenate(values)
+    assert values.size == n
+    var = values.var(ddof=1)
+    return values.mean(), math.sqrt(var / n), np.mean(values * values) / var
+
+
+def _assert_direct(point, columns, n):
+    """Each mean within 1e-12 relative, and each standard error too, unless
+    the sum-of-squares form is ill-conditioned: its variance is then good to
+    about ``eps * kappa`` relative, which reached 1.5e-12 at kappa = 1e4 on
+    the near-empty density points (n_bar <= 5)."""
+    for name, values in columns.items():
+        mean, se, kappa = _direct(values, n)
+        rtol = max(1e-12, 4.0 * np.finfo(float).eps * kappa)
+        np.testing.assert_allclose(getattr(point.probs, name), mean, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(getattr(point.stderr, name), se, rtol=rtol, atol=0.0)
+
+
+# Three full batches and a partial one.
+DIRECT_N = 3 * 4096 + 123
+
+
+def _successes(g, y):
+    """Per-realization successes from the scaled powers ``y`` and gains
+    ``g``: against the strongest co-SF term, against the co-SF sum, and
+    the joint one, co-SF times inter-SF."""
+    s_max, s_co, s_inter = (1.0 + np.sqrt(g / (g + y))) / 2.0
+    return s_max, s_co, s_co * s_inter
+
+
+def test_distance_standard_errors_are_the_direct_ones():
+    """Every mean and standard error of a distance sweep equals the direct
+    mean and std(ddof=1)/sqrt(n) of its per-realization successes,
+    recomputed from the batch walk; p_snr_sf is the product of the exact
+    p_snr with the joint success."""
+    cfg = NetworkConfig()
+    grid = default_distance_grid(cfg)
+    pinned = [montecarlo._pinned(cfg, d_km) for d_km in grid]
+    p_snr = [snr_success_probability(d, SF_MIN + ring, cfg) for d, (_, ring) in zip(grid, pinned)]
+    columns = [{"p_max_co": [], "p_co": [], "p_sf": [], "p_snr_sf": []} for _ in grid]
+    for rings in montecarlo._ring_batches(cfg, DIRECT_N, 5):
+        for point, (gain, ring), snr in zip(columns, pinned, p_snr):
+            fading, powers = rings[ring]
+            y = montecarlo._scaled(powers, fading, np.empty((3, fading.size)))
+            s_max, s_co, s_sf = _successes(gain, y)
+            for values, v in zip(point.values(), (s_max, s_co, s_sf, snr * s_sf)):
+                values.append(v)
+    points = success_vs_distance(cfg, _distance_spec(grid, n=DIRECT_N, seed=5))
+    for pt, point, snr in zip(points, columns, p_snr, strict=True):
+        assert (pt.probs.p_snr, pt.stderr.p_snr) == (snr, 0.0)
+        _assert_direct(pt, point, DIRECT_N)
+
+
+def test_density_standard_errors_are_the_direct_ones():
+    """Every mean and standard error of a density sweep equals the direct
+    mean and std(ddof=1)/sqrt(n) of its per-realization successes,
+    recomputed from the nested batch walk, the noise-only success and its
+    product with the joint one (x = s_snr * t) included."""
+    cfg = NetworkConfig()
+    grid = default_density_grid(3000.0, 8)
+    snr = []
+    columns = [{"p_max_co": [], "p_co": [], "p_sf": [], "p_snr_sf": []} for _ in grid]
+    for s, s_snr, fields in montecarlo._density_batches(cfg, grid, DIRECT_N, 5):
+        snr.append(s_snr)
+        for point, powers in zip(columns, fields):
+            y = montecarlo._scaled(powers, None, np.empty((3, s.size)))
+            s_max, s_co, s_sf = _successes(s, y)
+            for values, v in zip(point.values(), (s_max, s_co, s_sf, s_snr * s_sf)):
+                values.append(v)
+    points = coverage_vs_density(cfg, _density_spec(grid, n=DIRECT_N, seed=5))
+    for pt, point in zip(points, columns, strict=True):
+        _assert_direct(pt, {"p_snr": snr, **point}, DIRECT_N)

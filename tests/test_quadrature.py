@@ -50,7 +50,6 @@ from scipy import integrate, special
 
 from lora_reliability import montecarlo
 from lora_reliability.analytic import success_from_sir_array
-from lora_reliability.channel import ChannelModel
 from lora_reliability.montecarlo import (
     SweepSpec,
     coverage_vs_density,
@@ -345,7 +344,6 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
         realizations_per_point=100_000,
         seed=11,
     )
-    model = ChannelModel.from_config(cfg)
     # The evaluator computes the same doubled success in its max_co and co
     # slots from the scaled power it is given, so the co-SF scaled power
     # goes in the first slot and the inter-SF one in the second: the
@@ -353,9 +351,7 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
     # inter-SF one, with its standard error.
     sums = np.zeros((len(spec.grid), 6))
     scratch = np.empty((3, montecarlo._BATCH))
-    batches = montecarlo._density_batches(
-        cfg, spec.grid, spec.realizations_per_point, spec.seed, model
-    )
+    batches = montecarlo._density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed)
     for s, _, fields in batches:
         y = np.empty((3, 1, s.size))
         for row, powers in zip(sums, fields):
