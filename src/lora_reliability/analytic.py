@@ -86,16 +86,13 @@ def success_from_sir_array(gamma: np.ndarray) -> np.ndarray:
     return 1.0 - 0.5 * (1.0 - np.sqrt(t))
 
 
-def outage_numeric_oracle(
-    gamma_bar: float, rel_tol: float = 1e-8, error_rate: str = "exact"
-) -> float:
+def outage_numeric_oracle(gamma_bar: float, rel_tol: float = 1e-8) -> float:
     """Outage by adaptive quadrature of the error rate against the
-    exponential SIR density, integral over a >= 0 of R_e(a) * exp(-a/g)/g.
+    exponential SIR density, integral over a >= 0 of R_e(a) * exp(-a/g)/g,
+    with the Gaussian tail error rate R_e(a) = Q(sqrt(a)).
 
-    ``error_rate="exact"`` uses the Gaussian tail Q(sqrt(a)) and must agree
-    with :func:`outage_closed_form`; ``error_rate="bound"`` uses the Chernoff
-    bound and therefore upper-bounds the exact mode.  Kept deliberately
-    independent of the closed form so it can serve as its cross-check.
+    It must agree with :func:`outage_closed_form`, and is kept deliberately
+    independent of it so it can serve as its cross-check.
     """
     from scipy import integrate
 
@@ -103,17 +100,11 @@ def outage_numeric_oracle(
         raise ValueError(f"mean SIR must be > 0, got {gamma_bar}")
     if not 0 < rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
-    if error_rate == "exact":
-        rate = lambda a: 0.5 * math.erfc(math.sqrt(a) / _SQRT2)  # noqa: E731
-    elif error_rate == "bound":
-        rate = lambda a: 0.5 * math.exp(-0.5 * a)  # noqa: E731
-    else:
-        raise ValueError(f"error_rate must be 'exact' or 'bound', got {error_rate!r}")
 
     # Substitute a = gamma_bar * u so the integrand decays like exp(-u)
     # regardless of gamma_bar's magnitude.
     value, abs_err = integrate.quad(
-        lambda u: rate(gamma_bar * u) * math.exp(-u),
+        lambda u: 0.5 * math.erfc(math.sqrt(gamma_bar * u) / _SQRT2) * math.exp(-u),
         0.0,
         math.inf,
         epsabs=0.0,

@@ -6,7 +6,6 @@ tool can reproduce the curves."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
@@ -15,16 +14,12 @@ import numpy as np
 from . import analytic, montecarlo
 from .channel import snr_success_probability
 from .params import (
-    ConfigError,
     NetworkConfig,
     annulus_to_sf,
-    dbm_to_mw,
-    mw_to_dbm,
     parse_config_text,
     sf_table,
 )
 
-SEED_ENV_VAR = "LORA_REL_SEED"
 DESK_REALIZATIONS = 10_000
 
 _PROB_COLUMNS = tuple(f.name for f in fields(analytic.ScenarioProbabilities))
@@ -57,8 +52,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> NetworkConfig:
-    """Table-default < config file < flags < env-var seed fallback; the
-    fallback applies only to commands that take --seed."""
+    """Table-default < config file < flags."""
     values: dict[str, float | int] = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -67,12 +61,6 @@ def _build_config(args: argparse.Namespace) -> NetworkConfig:
         values["mean_devices"] = args.mean_devices
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
-    elif "seed" in args and "seed" not in values and os.environ.get(SEED_ENV_VAR):
-        raw = os.environ[SEED_ENV_VAR]
-        try:
-            values["seed"] = int(raw)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     return NetworkConfig(**values)  # type: ignore[arg-type]
 
 
@@ -129,9 +117,6 @@ def _check_outage_quadrature() -> tuple[bool, str]:
         numeric = analytic.outage_numeric_oracle(gamma, rel_tol=1e-9)
         closed = analytic.outage_closed_form(gamma)
         worst = max(worst, abs(numeric - closed))
-        bound_mode = analytic.outage_numeric_oracle(gamma, rel_tol=1e-9, error_rate="bound")
-        if bound_mode < numeric:
-            return False, f"bound-mode quadrature below exact mode at gamma={gamma}"
     return worst < 1e-6, f"max |quadrature - closed form| = {worst:.3e}"
 
 
@@ -149,20 +134,10 @@ def _check_sf_schedule() -> tuple[bool, str]:
     ok = (
         len(rows) == 6
         and all(a.snr_threshold_db > b.snr_threshold_db for a, b in zip(rows, rows[1:]))
-        and all(a.airtime_ms < b.airtime_ms for a, b in zip(rows, rows[1:]))
-        and all(a.bitrate_kbps > b.bitrate_kbps for a, b in zip(rows, rows[1:]))
         and all(annulus_to_sf(k * radius_km / 6.0, radius_km) == 7 + k for k in range(6))
         and annulus_to_sf(radius_km, radius_km) == 12
     )
-    return ok, "SF schedule monotone, ring k*R/6 starts SF 7+k, R maps to SF 12"
-
-
-def _check_conversion_round_trip() -> tuple[bool, str]:
-    for exp in range(-12, 4):
-        x = 10.0**exp * 3.7
-        if abs(dbm_to_mw(mw_to_dbm(x)) - x) > 1e-12 * x:
-            return False, f"dBm/mW round trip off at {x}"
-    return True, "dBm/mW round trip within 1e-12 relative"
+    return ok, "SNR thresholds fall with SF, ring k*R/6 starts SF 7+k, R maps to SF 12"
 
 
 def _check_saw_tooth(cfg: NetworkConfig) -> tuple[bool, str]:
@@ -212,7 +187,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         ("outage quadrature vs closed form", _check_outage_quadrature),
         ("gaussian tail and bound", _check_q_function),
         ("sf schedule", _check_sf_schedule),
-        ("unit conversions", _check_conversion_round_trip),
         ("annulus saw-tooth", lambda: _check_saw_tooth(cfg)),
         ("interference algebra", lambda: _check_interference_algebra(cfg)),
     ]
@@ -241,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", metavar="PATH", help="key = value config file")
     # closed-form makes no random draw, so it takes no seed.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
+    seeded.add_argument("--seed", type=int, help="RNG seed")
 
     sweep = argparse.ArgumentParser(add_help=False, parents=[config, seeded])
     sweep.add_argument(

@@ -109,6 +109,7 @@ from .params import (
     annulus_to_sf,
     db_to_linear,
     dbm_to_mw,
+    require_integer,
     sf_table,
 )
 
@@ -176,12 +177,8 @@ class SweepSpec:
             raise ValueError(f"distance grid must be positive, got {low}")
         if self.kind == "density" and low < 0:
             raise ValueError(f"density grid must be non-negative, got {low}")
-        if self.realizations_per_point < 1:
-            raise ValueError(
-                f"realizations_per_point must be >= 1, got {self.realizations_per_point}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        require_integer("realizations_per_point", self.realizations_per_point, 1)
+        require_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -413,8 +410,7 @@ def _now(fn: Callable, *args) -> Future:
 def _submitter(threads: int) -> Iterator[Callable[..., Future]]:
     """:func:`_now` for one thread, else the ``submit`` of a pool of
     ``threads`` threads that lives as long as the context."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    require_integer("threads", threads, 1)
     if threads == 1:
         yield _now
         return
@@ -658,7 +654,9 @@ def success_vs_distance(
     ``threads`` workers draw the sub-fields of the next ``_AHEAD`` batches
     while they evaluate the current one, one task per annulus, in row blocks
     that share its scaled powers (:func:`_scaled`, :func:`_evaluate`).  Each
-    task sums into a zeroed array of its own, added in batch order.
+    task adds into its annulus's rows of the sums in place; a batch's tasks
+    write disjoint rows, and all of them finish before the next batch's
+    start, so every row takes one addition per batch, in batch order.
     """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
@@ -673,28 +671,26 @@ def success_vs_distance(
     scratch_shape = (3, min(max(_BLOCK, _BATCH), widest * _BATCH))
     work = threading.local()  # one scratch array per thread
 
-    def evaluate(fading: np.ndarray, powers: tuple, g: np.ndarray) -> np.ndarray:
-        # One annulus's sums over one batch, in a zeroed array of its own.
+    def evaluate(fading: np.ndarray, powers: tuple, lo: int, hi: int) -> None:
+        # Adds one batch of annulus sums into rows lo:hi of sums.
         if not hasattr(work, "scratch"):
             work.scratch = np.empty(scratch_shape)
-        part = np.zeros((g.shape[0], sums.shape[1]))
         # One row of realizations per scenario, against a column of gains.
         y = _scaled(powers, fading, np.empty((3, fading.size)))[:, np.newaxis]
         rows = max(1, _BLOCK // fading.size)
-        for row in range(0, g.shape[0], rows):
-            _evaluate(y, g[row : row + rows], part[row : row + rows], work.scratch)
-        return part
+        for row in range(lo, hi, rows):
+            end = min(row + rows, hi)
+            _evaluate(y, gains[row:end], sums[row:end], work.scratch)
 
     with _submitter(threads) as submit:
         for rings in _ring_batches(cfg, spec.realizations_per_point, spec.seed, submit):
-            parts = [
-                (lo, hi, submit(evaluate, *rings[ring], gains[lo:hi]))
+            tasks = [
+                submit(evaluate, *rings[ring], lo, hi)
                 for ring, (lo, hi) in enumerate(zip(starts, starts[1:]))
                 if lo < hi
             ]
-            # 0 + part is part, so a point's sums are the same at any thread count.
-            for lo, hi, part in parts:
-                sums[lo:hi] += part.result()
+            for task in tasks:  # the next batch adds into the same rows
+                task.result()
     n = spec.realizations_per_point
     return [
         _curve_point(d_km, row, n, snr_success_probability(d_km, SF_MIN + ring, cfg))
@@ -727,14 +723,13 @@ def coverage_vs_density(
     points below it, and the interference columns never rise with the mean
     device count.
 
-    The batches run in order on the calling thread.  ``threads`` must be at
-    least 1 and changes nothing; it is accepted so that both sweeps take the
-    same keywords.
+    The batches run in order on the calling thread.  ``threads`` must be an
+    integer of at least 1 and changes nothing; it is accepted so that both
+    sweeps take the same keywords.
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    require_integer("threads", threads, 1)
     sums = np.zeros((len(spec.grid), 8))
     snr = np.zeros(2)
     scratch = np.empty((3, _BATCH))
@@ -763,8 +758,8 @@ def estimate_mean_sir(
     that row's realizations with no active same-SF interferer.  No mean is
     reported: it does not settle as ``n`` grows (see :class:`SirStats`).
     Keys: ``max_co``, ``co``, ``inter``."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 realizations, got {n}")
+    require_integer("n", n, 1)
+    require_integer("seed", seed, 0)
     gain, ring = _pinned(cfg, d_km)
     kept: list[list[np.ndarray]] = [[], [], []]
     for rings in _ring_batches(cfg, n, seed):

@@ -8,6 +8,7 @@ stays traceable to its data sheet value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -19,29 +20,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SfParams:
-    """Radio parameters of one spreading factor.
+    """The demodulation SNR threshold of one spreading factor, the one radio
+    number the model reads per SF.
 
     SF ``7 + k`` serves the annulus ``[k*R/6, (k+1)*R/6)`` of the cell; see
     :func:`annulus_to_sf`.
     """
 
     sf: int
-    bitrate_kbps: float
-    airtime_ms: float
-    tx_per_hour: int
-    # Receiver sensitivity is kept for documentation/link-budget checks;
-    # the SIR/SNR model is driven by snr_threshold_db alone.
-    sensitivity_dbm: float
     snr_threshold_db: float
 
 
 _SF_TABLE: tuple[SfParams, ...] = (
-    SfParams(7, 5.468, 36.6, 98, -123.0, -6.0),
-    SfParams(8, 3.125, 64.0, 56, -126.0, -9.0),
-    SfParams(9, 1.757, 113.0, 31, -129.0, -12.0),
-    SfParams(10, 0.967, 204.0, 17, -132.0, -15.0),
-    SfParams(11, 0.537, 372.0, 9, -134.5, -17.5),
-    SfParams(12, 0.293, 682.0, 5, -137.0, -20.0),
+    SfParams(7, -6.0),
+    SfParams(8, -9.0),
+    SfParams(9, -12.0),
+    SfParams(10, -15.0),
+    SfParams(11, -17.5),
+    SfParams(12, -20.0),
 )
 
 SF_MIN = 7
@@ -116,9 +112,10 @@ class NetworkConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        require_integer("seed", self.seed, 0)
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if f.name != "seed" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
@@ -139,8 +136,6 @@ class NetworkConfig:
                 "min_distance_km must satisfy 0 < min_distance_km < cell_radius_km, "
                 f"got {self.min_distance_km}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         # The noise-only success divides the noise floor by the received
         # power, so each must be a positive finite double: the transmit
         # power, the noise floor, and the received power at the cell edge,
@@ -170,16 +165,18 @@ class NetworkConfig:
                 raise ConfigError(f"the {power} set by {keys} must be a positive finite double")
 
 
+def require_integer(name: str, value: object, low: int) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is an
+    integer, Python's or numpy's but not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
 def dbm_to_mw(x_dbm: float) -> float:
     """Convert a dBm power level to linear milliwatts."""
     return 10.0 ** (x_dbm / 10.0)
-
-
-def mw_to_dbm(x_mw: float) -> float:
-    """Convert linear milliwatts to dBm (inverse of :func:`dbm_to_mw`)."""
-    if x_mw <= 0:
-        raise ValueError(f"power must be > 0 mW, got {x_mw}")
-    return 10.0 * math.log10(x_mw)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -208,8 +205,7 @@ _FIELD_NAMES = frozenset(f.name for f in fields(NetworkConfig))
 
 
 def _parse_value(key: str, raw: str) -> float | int:
-    # An integer key takes an integer literal alone, as --seed and
-    # LORA_REL_SEED do.
+    # An integer key takes an integer literal alone, as --seed does.
     if key in _INT_FIELDS:
         try:
             return int(raw)

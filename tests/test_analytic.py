@@ -100,20 +100,6 @@ def test_quadrature_matches_closed_form():
         assert abs(numeric - outage_closed_form(g)) < 1e-6
 
 
-def test_quadrature_bound_mode_has_analytic_value():
-    # with the Chernoff-bound error rate the integral collapses to 1/(2+g)
-    for g in GAMMA_GRID:
-        numeric = outage_numeric_oracle(g, rel_tol=1e-9, error_rate="bound")
-        assert numeric == pytest.approx(1.0 / (2.0 + g), rel=1e-7)
-
-
-def test_quadrature_bound_mode_dominates_exact():
-    for g in GAMMA_GRID:
-        exact = outage_numeric_oracle(g, rel_tol=1e-9)
-        bound = outage_numeric_oracle(g, rel_tol=1e-9, error_rate="bound")
-        assert bound >= exact
-
-
 def test_quadrature_validates_inputs():
     with pytest.raises(ValueError):
         outage_numeric_oracle(0.0)
@@ -121,8 +107,6 @@ def test_quadrature_validates_inputs():
         outage_numeric_oracle(1.0, rel_tol=0.0)
     with pytest.raises(ValueError):
         outage_numeric_oracle(1.0, rel_tol=0.1)
-    with pytest.raises(ValueError):
-        outage_numeric_oracle(1.0, error_rate="fancy")
 
 
 def test_success_from_sir_values():

@@ -49,6 +49,26 @@ def test_spec_validation():
             default_density_grid(n_bar_max)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"realizations_per_point": 100.0}, "realizations_per_point must be an integer"),
+        ({"realizations_per_point": True}, "realizations_per_point must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": np.float64(1.0)}, "seed must be an integer"),
+    ],
+)
+def test_spec_rejects_non_integer_counts_naming_the_field(kwargs, message):
+    base = {"kind": "distance", "grid": (1.0,), "realizations_per_point": 10, "seed": 0}
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(**{**base, **kwargs})
+
+
+def test_spec_accepts_numpy_integers():
+    spec = SweepSpec("distance", (1.0,), np.int64(10), np.uint32(3))
+    assert (spec.realizations_per_point, spec.seed) == (10, 3)
+
+
 def test_sweep_kind_mismatch():
     cfg = NetworkConfig()
     with pytest.raises(ValueError):
@@ -131,7 +151,7 @@ def test_density_batch_merge_independent_of_thread_count():
         assert coverage_vs_density(cfg, spec, threads=threads) == single
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
 @pytest.mark.parametrize("kind", ["distance", "density"])
 def test_sweeps_reject_threads_below_one(kind, threads):
     cfg = NetworkConfig()
@@ -517,6 +537,20 @@ def test_estimate_mean_sir_shares_the_annulus_sub_fields():
     assert annulus_to_sf(6.2, cfg.cell_radius_km) == annulus_to_sf(7.9, cfg.cell_radius_km)
     for key in ("max_co", "co", "inter"):
         assert near[key].inf_fraction == far[key].inf_fraction
+
+
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [
+        (100.0, 1, "n must be an integer"),
+        (True, 1, "n must be an integer"),
+        (100, 1.5, "seed must be an integer"),
+        (100, -1, "seed must be >= 0"),
+    ],
+)
+def test_estimate_mean_sir_rejects_bad_counts_naming_the_argument(n, seed, message):
+    with pytest.raises(ValueError, match=message):
+        estimate_mean_sir(NetworkConfig(), 1.0, n, seed)
 
 
 def test_estimate_mean_sir_rejects_distance_outside_cell():
