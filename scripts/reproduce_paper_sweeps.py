@@ -11,7 +11,8 @@ Both default to 10^5 realizations per point; ``--realizations 10000`` gives
 the command line's fast desk-scale run.
 Each file is what ``lora-reliability sweep-distance`` / ``sweep-density``
 writes for the same seed and realization count, byte for byte.  --threads
-goes to ``sweep-distance`` only; the density sweep runs on one thread.
+goes to both commands: ``sweep-distance`` runs on that many threads and
+``sweep-density`` on that many processes, and neither changes a byte.
 Plot with any CSV tool; columns are documented in the README.
 """
 
@@ -40,11 +41,10 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     flags = ["--seed", str(args.seed), "--realizations", str(args.realizations)]
+    flags += ["--threads", str(args.threads)]
     for command, name in SWEEPS:
         path = out_dir / name
         cmd = [command, *flags, "--out", str(path)]
-        if command == "sweep-distance":
-            cmd += ["--threads", str(args.threads)]
         start = time.perf_counter()
         code = cli.main(cmd)
         if code != 0:

@@ -202,6 +202,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lora-reliability",
@@ -226,6 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="realizations per sweep point (default: %(default)s)",
     )
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
+    sweep.add_argument(
+        "--threads",
+        type=_worker_count,
+        default=1,
+        metavar="N",
+        help="workers: threads in sweep-distance, processes in sweep-density "
+        "(never changes output bytes)",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -233,13 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-distance",
         parents=[sweep],
         help="success probability vs distance from the gateway (CSV)",
-    )
-    p_dist.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads (never changes output bytes)",
     )
     # The density sweep takes its mean device counts from --n-bar-max.
     p_dist.add_argument(
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.add_argument(
         "--n-bar-max", type=float, default=3000.0, help="largest mean device count"
     )
-    p_dens.set_defaults(func=_cmd_sweep, kind="density", threads=1)
+    p_dens.set_defaults(func=_cmd_sweep, kind="density")
 
     p_cf = sub.add_parser(
         "closed-form",

@@ -15,21 +15,23 @@ units a point's SIR is ``(d/R)**(-eta) * fading / I``.  So a row depends on
 its distance, the seed and the realization count alone, not on the rest of
 the grid; all rows are positively correlated (common random numbers), those
 of one annulus most.  The density sweep's unit is the batch
-(:func:`_density_batches`): the batches run in order on the calling thread,
-each across the whole grid, with fields drawn on the whole cell.  Its fields
-are nested: a Poisson process at ``n_bar_i`` is the one at ``n_bar_{i-1}``
-plus an independent increment, so grid point i draws only that increment
-and adds it to the field of the point below it.  The increment's
-interferers in one batch are a single Poisson count, each with a uniform
-owner realization, which gives every realization an independent Poisson
-count (Poisson splitting); each batch reads all its increments, in grid
-order, from three generators ``(seed, _TAG_DENSITY_FIELD, batch, j)``
+(:func:`_density_batches`), each across the whole grid, with fields drawn on
+the whole cell; its workers are the calling process and forked children
+(:func:`_forked`), which write each batch's raw sums into that batch's row
+of shared memory, and the calling process adds the rows in batch order.
+Its fields are nested: a Poisson process at ``n_bar_i`` is the one at
+``n_bar_{i-1}`` plus an independent increment, so grid point i draws only
+that increment and adds it to the field of the point below it.  The
+increment's interferers in one batch are a single Poisson count, each with
+a uniform owner realization, which gives every realization an independent
+Poisson count (Poisson splitting); each batch reads all its increments, in
+grid order, from three generators ``(seed, _TAG_DENSITY_FIELD, batch, j)``
 (:func:`_nested_field_powers`).  A density row therefore depends on the
 grid points below it, and its interference columns never rise with
 ``n_bar``.
 
 Both interference samplers cut their active interferers into chunks of at
-most ``_CHUNK``, at any count, so their memory per worker thread is bounded
+most ``_CHUNK``, at any count, so their memory per worker is bounded
 whatever the mean device count.  The draws are the same at any chunk size.
 :func:`_nested_field_powers` reads each of its generators in order across
 chunks and adds term by term (``ufunc.at``), so its sums are too; its owner
@@ -91,7 +93,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import mmap
+import os
+import signal
 import threading
+import traceback
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -612,19 +618,25 @@ def _by_area(u: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray,
 
 
 def _density_batches(
-    cfg: NetworkConfig, grid: tuple[float, ...], n: int, seed: int
+    cfg: NetworkConfig,
+    grid: tuple[float, ...],
+    n: int,
+    seed: int,
+    share: Iterable[tuple[int, int]] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
     """Per batch of ``n`` realizations, in batch order: the desired signals
     in normalized units, their noise-only success, and the running field
     powers at each mean device count of ``grid``, in grid order
     (:func:`_nested_field_powers`; read each before drawing the next).
+    ``share`` restricts this to some of the ``(index, size)`` pairs of
+    :func:`_batches`; a batch's draws do not depend on the others.
 
     Batch ``b`` draws its desired devices' area fractions and fading from
     generator ``(seed, _TAG_DENSITY_DESIRED, b)``, and its nested fields
     from generators ``(seed, _TAG_DENSITY_FIELD, b, j)``, ``j = 0, 1, 2``.
     """
     steps = np.diff(grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
-    for batch_index, batch in _batches(n):
+    for batch_index, batch in _batches(n) if share is None else share:
         rng = np.random.default_rng([seed, _TAG_DENSITY_DESIRED, batch_index])
         gain, annulus, s_snr = _by_area(rng.random(batch), cfg)
         s = gain * _desired_fading(rng, batch)
@@ -632,6 +644,62 @@ def _density_batches(
             np.random.default_rng([seed, _TAG_DENSITY_FIELD, batch_index, j]) for j in range(3)
         )
         yield s, s_snr, _nested_field_powers(draws, annulus, steps, cfg)
+
+
+def _forked(work: Callable[[int], None], workers: int) -> None:
+    """Run ``work(w)`` for every worker ``w < workers``: worker 0 in the
+    calling process, the others in children it forks, all at once, and
+    return once every child has exited.  A child shares the caller's memory
+    as it was at the fork, copy on write, so ``work`` returns its results
+    through shared memory mapped before the call.
+
+    A child runs its share and leaves with ``os._exit``, so it never
+    returns into the caller and never flushes the stdio buffers it copied;
+    it prints an exception's traceback to file descriptor 2 and exits 1.
+    Every child is reaped before this returns or raises, and one still
+    running when the caller's own share raises is killed first.  A child
+    that exits non-zero raises :class:`RuntimeError` naming its worker.
+    Without ``os.fork`` the shares run one after another in the calling
+    process.
+
+    Fork, not a fresh interpreter per worker: a spawned worker would
+    import numpy and this package again, which takes about as long as the
+    share of a full-scale density sweep it would run.  Fork copies only
+    the calling thread, so call this while no other thread of the process
+    holds a lock the work needs.
+    """
+    if not hasattr(os, "fork"):
+        for w in range(workers):
+            work(w)
+        return
+    children: dict[int, int] = {}  # worker -> pid
+    finished = False
+    try:
+        for w in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    work(w)
+                    code = 0
+                except Exception:
+                    os.write(2, f"worker {w}: {traceback.format_exc()}".encode())
+                finally:
+                    os._exit(code)
+            children[w] = pid
+        work(0)
+        finished = True
+    finally:
+        failed = []
+        for w, pid in children.items():
+            if not finished:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failed.append(f"worker {w} (pid {pid}) exited with status {code}")
+    if failed:
+        raise RuntimeError("forked workers failed: " + "; ".join(failed))
 
 
 def success_vs_distance(
@@ -723,23 +791,46 @@ def coverage_vs_density(
     points below it, and the interference columns never rise with the mean
     device count.
 
-    The batches run in order on the calling thread.  ``threads`` must be an
-    integer of at least 1 and changes nothing; it is accepted so that both
-    sweeps take the same keywords.
+    The batches run on ``threads`` workers (:func:`_forked`): the calling
+    process and ``min(threads, batches) - 1`` forked children.  Worker ``w``
+    of ``W`` runs batches ``w, w + W, ...``, each across the whole grid,
+    and writes each batch's raw sums (:func:`_evaluate`, ``8`` per point,
+    then the two noise-only sums) into that batch's row of a shared
+    anonymous mapping, ``8 * (8 * points + 2)`` bytes per batch of
+    ``_BATCH`` realizations.  Once every worker is done, the calling
+    process adds the rows in batch order, so every sum takes one addition
+    per batch, in batch order, and the bytes are the same at any
+    ``threads``.
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     require_integer("threads", threads, 1)
+    n = spec.realizations_per_point
+    batches = _batches(n)
+    workers = min(threads, len(batches))
+    width = 8 * len(spec.grid) + 2
+    # Anonymous and zero-filled: each batch's sums add into zeros, and the
+    # forked workers' writes reach the calling process.
+    shared = mmap.mmap(-1, 8 * len(batches) * width)
+    rows = np.frombuffer(shared, dtype=float).reshape(len(batches), width)
+
+    def work(w: int) -> None:
+        scratch = np.empty((3, _BATCH))
+        y = np.empty((3, _BATCH))
+        share = batches[w::workers]
+        for (b, _), (s, s_snr, fields) in zip(
+            share, _density_batches(cfg, spec.grid, n, spec.seed, share)
+        ):
+            rows[b, -2:] = s_snr.sum(), (s_snr * s_snr).sum()
+            for point, powers in zip(rows[b, :-2].reshape(-1, 8), fields):
+                _evaluate(_scaled(powers, None, y[:, : s.size]), s, point, scratch, s_snr)
+
+    _forked(work, workers)
     sums = np.zeros((len(spec.grid), 8))
     snr = np.zeros(2)
-    scratch = np.empty((3, _BATCH))
-    y = np.empty((3, _BATCH))
-    batches = _density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed)
-    for s, s_snr, fields in batches:
-        snr += s_snr.sum(), (s_snr * s_snr).sum()
-        for row, powers in zip(sums, fields):
-            _evaluate(_scaled(powers, None, y[:, : s.size]), s, row, scratch, s_snr)
-    n = spec.realizations_per_point
+    for row in rows:
+        sums += row[:-2].reshape(-1, 8)
+        snr += row[-2:]
     p_snr, se_snr = _mean_se(*snr, n)
     return [_curve_point(n_bar, row, n, p_snr, se_snr) for row, n_bar in zip(sums, spec.grid)]
 

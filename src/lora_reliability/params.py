@@ -115,7 +115,15 @@ class NetworkConfig:
         require_integer("seed", self.seed, 0)
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name != "seed" and not math.isfinite(value):
+            if f.name == "seed":
+                continue
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ConfigError(
+                    f"{f.name} must be finite, got an int beyond the doubles"
+                ) from None
+            if not finite:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")

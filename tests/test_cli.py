@@ -75,16 +75,6 @@ def test_closed_form_gamma_rejects_config(tmp_path, capsys):
     assert "--config" in err
 
 
-def test_closed_form_ignores_seed_env(monkeypatch, capsys):
-    args = ["closed-form", "--distance", "6", "--sf", "9"]
-    monkeypatch.delenv("LORA_REL_SEED", raising=False)
-    _, unset, _ = run_cli(args, capsys)
-    monkeypatch.setenv("LORA_REL_SEED", "not-a-seed")
-    code, out, _ = run_cli(args, capsys)
-    assert code == 0
-    assert out == unset
-
-
 def test_sweep_distance_csv_shape(capsys):
     code, out, _ = run_cli(
         ["sweep-distance", "--seed", "1", "--realizations", "200"], capsys
@@ -320,15 +310,18 @@ def test_non_finite_flag_fails_naming_key(args, key, capsys):
 
 
 def test_sweep_density_rejects_zero_threads(capsys):
-    """The density sweep runs on one thread, so it takes no --threads, zero
-    or otherwise."""
-    for threads in ("0", "2"):
-        code, out, err = run_cli(
-            ["sweep-density", "--realizations", "10", "--threads", threads], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert "--threads" in err
+    """Both sweeps take --threads from the shared sweep options: zero
+    fails naming the flag, and two workers write the bytes of one.  Two
+    batches of realizations give the second worker one to run."""
+    code, out, err = run_cli(["sweep-density", "--realizations", "10", "--threads", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+    base = ["sweep-density", "--seed", "3", "--realizations", "4200"]
+    _, single, _ = run_cli(base + ["--threads", "1"], capsys)
+    code, pooled, _ = run_cli(base + ["--threads", "2"], capsys)
+    assert code == 0
+    assert pooled == single
 
 
 def test_non_finite_config_value_fails_naming_key(tmp_path, capsys):
@@ -557,11 +550,11 @@ def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):
     threads = ["--threads", "2"]
     assert module.main(flags + threads + ["--out-dir", str(tmp_path / "script")]) == 0
     capsys.readouterr()  # the script's progress lines
-    for command, name, extra in (
-        ("sweep-distance", "success_vs_distance.csv", threads),
-        ("sweep-density", "coverage_vs_density.csv", []),
+    for command, name in (
+        ("sweep-distance", "success_vs_distance.csv"),
+        ("sweep-density", "coverage_vs_density.csv"),
     ):
-        code, out, _ = run_cli([command] + flags + extra, capsys)
+        code, out, _ = run_cli([command] + flags + threads, capsys)
         assert code == 0
         assert (tmp_path / "script" / name).read_bytes() == out.encode()
 

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -140,15 +141,104 @@ def test_determinism_across_thread_counts():
     assert single == again
 
 
-def test_density_batch_merge_independent_of_thread_count():
-    """Two full batches and a partial one: the density sweep adds each
-    batch's sums in batch order on the calling thread, so the thread count,
-    which it accepts and ignores, changes no value."""
-    cfg = NetworkConfig()
-    spec = _density_spec((0.0, 1.0, 30.0, 3000.0), n=2 * 4096 + 100, seed=42)
-    single = coverage_vs_density(cfg, spec, threads=1)
-    for threads in (2, 3, 6):
-        assert coverage_vs_density(cfg, spec, threads=threads) == single
+DENSITY_GRID = (0.0, 1.0, 30.0, 3000.0)
+
+
+def _density_sums_and_csv(monkeypatch, threads, n):
+    """The per-point raw sums of a density sweep of DENSITY_GRID, as the
+    sweep hands them to ``_curve_point``, its CSV and the number of
+    children it forked."""
+    recorded, forks = [], []
+    curve_point, fork = montecarlo._curve_point, os.fork
+
+    def record(abscissa, sums, *rest):
+        recorded.append(sums.copy())
+        return curve_point(abscissa, sums, *rest)
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_curve_point", record)
+        patch.setattr(os, "fork", counted_fork)
+        spec = _density_spec(DENSITY_GRID, n=n, seed=42)
+        points = coverage_vs_density(NetworkConfig(), spec, threads=threads)
+    return np.array(recorded), curve_to_csv(points, "n_bar"), len(forks)
+
+
+def _density_sums_in_place(n):
+    """Reference for the merge: the raw sums of the density sweep of
+    DENSITY_GRID at seed 42 kept as one running array, which every batch
+    adds into in place, in batch order, in the calling process."""
+    sums = np.zeros((len(DENSITY_GRID), 8))
+    scratch = np.empty((3, montecarlo._BATCH))
+    for s, s_snr, fields in montecarlo._density_batches(NetworkConfig(), DENSITY_GRID, n, 42):
+        for row, powers in zip(sums, fields):
+            y = montecarlo._scaled(powers, None, np.empty((3, s.size)))
+            montecarlo._evaluate(y, s, row, scratch, s_snr)
+    return sums
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_density_batch_merge_independent_of_thread_count(monkeypatch):
+    """Worker w of W runs batches w, w + W, ... in the calling process or a
+    forked child, and the calling process adds the batches' rows in batch
+    order: every point's raw sums, with a partial last batch (three and
+    eleven batches) and with fewer batches than workers (two), are the same
+    doubles at any worker count as those of one running array, and no child
+    outlives the call."""
+    for n in (2 * 4096 + 100, 4096 + 1, 10 * 4096 + 7):
+        batches = len(montecarlo._batches(n))
+        single_sums, single_csv, forks = _density_sums_and_csv(monkeypatch, 1, n)
+        assert forks == 0
+        np.testing.assert_array_equal(single_sums, _density_sums_in_place(n))
+        for threads in (2, 3, 6):
+            sums, csv, forks = _density_sums_and_csv(monkeypatch, threads, n)
+            assert forks == min(threads, batches) - 1
+            np.testing.assert_array_equal(sums, single_sums)
+            assert csv == single_csv
+            _assert_no_child()
+
+
+def test_density_sums_without_fork(monkeypatch):
+    """Where the platform has no fork, the shares run one after another in
+    the calling process, with the same bytes."""
+    spec = _density_spec(DENSITY_GRID, n=2 * 4096 + 100, seed=42)
+    single = coverage_vs_density(NetworkConfig(), spec)
+    monkeypatch.delattr(os, "fork")
+    assert coverage_vs_density(NetworkConfig(), spec, threads=3) == single
+
+
+@pytest.mark.parametrize("fails_in", ["child", "parent"])
+def test_density_worker_failure_raises_and_leaves_no_child(monkeypatch, fails_in):
+    """A worker that raises in a forked child makes the sweep raise in the
+    calling process, naming the worker; one that raises in the calling
+    process raises its own error there, after the children are killed.
+    Either way every child is reaped."""
+    parent = os.getpid()
+    nested = montecarlo._nested_field_powers
+
+    def failing(*args):
+        if (os.getpid() == parent) == (fails_in == "parent"):
+            raise ZeroDivisionError("sampler failed")
+        return nested(*args)
+
+    monkeypatch.setattr(montecarlo, "_nested_field_powers", failing)
+    spec = _density_spec(DENSITY_GRID, n=3 * 4096, seed=42)
+    if fails_in == "child":
+        with pytest.raises(RuntimeError, match=r"worker 1 \(pid \d+\) exited with status 1"):
+            coverage_vs_density(NetworkConfig(), spec, threads=2)
+    else:
+        with pytest.raises(ZeroDivisionError, match="sampler failed"):
+            coverage_vs_density(NetworkConfig(), spec, threads=3)
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("threads", [0, -1, 1.5, True])

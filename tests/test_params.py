@@ -156,6 +156,9 @@ def test_invalid_config_rejected(kwargs):
         ({"seed": "1"}, "seed must be an integer"),
         ({"mean_devices": np.float32("nan")}, "mean_devices must be finite"),
         ({"cell_radius_km": np.float32("-inf")}, "cell_radius_km must be finite"),
+        # Python ints beyond the doubles, which math.isfinite cannot convert.
+        ({"mean_devices": 10**400}, "mean_devices must be finite"),
+        ({"tx_power_dbm": -(10**400)}, "tx_power_dbm must be finite"),
     ],
 )
 def test_config_rejects_non_integer_seed_and_numpy_non_finite(kwargs, message):
