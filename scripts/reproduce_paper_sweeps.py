@@ -12,7 +12,8 @@ the command line's fast desk-scale run.
 Each file is what ``lora-reliability sweep-distance`` / ``sweep-density``
 writes for the same seed and realization count, byte for byte.  --threads
 goes to both commands: ``sweep-distance`` runs on that many threads and
-``sweep-density`` on that many processes, and neither changes a byte.
+``sweep-density`` on that many processes, at most one per CPU and one
+where the platform has no ``fork``; neither changes a byte.
 Plot with any CSV tool; columns are documented in the README.
 """
 
@@ -33,8 +34,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--realizations", type=int, default=100_000)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--realizations", type=cli._positive_int, default=100_000)
+    parser.add_argument("--threads", type=cli._positive_int, default=1)
     args = parser.parse_args(argv)
 
     out_dir = pathlib.Path(args.out_dir)

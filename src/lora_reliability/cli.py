@@ -55,7 +55,8 @@ def _build_config(args: argparse.Namespace) -> NetworkConfig:
     """Table-default < config file < flags."""
     values: dict[str, float | int] = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        # utf-8-sig also reads a file saved with a byte-order mark.
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             values = parse_config_text(fh.read())
     if getattr(args, "mean_devices", None) is not None:
         values["mean_devices"] = args.mean_devices
@@ -202,7 +203,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False, parents=[config, seeded])
     sweep.add_argument(
         "--realizations",
-        type=int,
+        type=_positive_int,
         default=DESK_REALIZATIONS,
         metavar="N",
         help="realizations per sweep point (default: %(default)s)",
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     sweep.add_argument(
         "--threads",
-        type=_worker_count,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="workers: threads in sweep-distance, processes in sweep-density "

@@ -15,7 +15,7 @@ units a point's SIR is ``(d/R)**(-eta) * fading / I``.  So a row depends on
 its distance, the seed and the realization count alone, not on the rest of
 the grid; all rows are positively correlated (common random numbers), those
 of one annulus most.  The density sweep's unit is the batch
-(:func:`_density_batches`), each across the whole grid, with fields drawn on
+(:func:`_density_batch`), each across the whole grid, with fields drawn on
 the whole cell; its workers are the calling process and forked children
 (:func:`_forked`), which write each batch's raw sums into that batch's row
 of shared memory, and the calling process adds the rows in batch order.
@@ -617,33 +617,25 @@ def _by_area(u: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray,
     return gain, annulus, np.exp(-(model.noise_mw * theta) / (edge_mw * gain))
 
 
-def _density_batches(
-    cfg: NetworkConfig,
-    grid: tuple[float, ...],
-    n: int,
-    seed: int,
-    share: Iterable[tuple[int, int]] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
-    """Per batch of ``n`` realizations, in batch order: the desired signals
-    in normalized units, their noise-only success, and the running field
-    powers at each mean device count of ``grid``, in grid order
-    (:func:`_nested_field_powers`; read each before drawing the next).
-    ``share`` restricts this to some of the ``(index, size)`` pairs of
-    :func:`_batches`; a batch's draws do not depend on the others.
+def _density_batch(
+    cfg: NetworkConfig, steps: np.ndarray, seed: int, index: int, size: int
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Batch ``index`` of ``size`` realizations (:func:`_batches`): the
+    desired signals in normalized units, their noise-only success, and the
+    running field powers after each increment of ``steps`` mean devices, in
+    grid order (:func:`_nested_field_powers`; read each before drawing the
+    next).
 
-    Batch ``b`` draws its desired devices' area fractions and fading from
-    generator ``(seed, _TAG_DENSITY_DESIRED, b)``, and its nested fields
-    from generators ``(seed, _TAG_DENSITY_FIELD, b, j)``, ``j = 0, 1, 2``.
+    It draws its desired devices' area fractions and fading from generator
+    ``(seed, _TAG_DENSITY_DESIRED, index)``, and its nested fields from
+    generators ``(seed, _TAG_DENSITY_FIELD, index, j)``, ``j = 0, 1, 2``, so
+    its draws do not depend on the other batches.
     """
-    steps = np.diff(grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
-    for batch_index, batch in _batches(n) if share is None else share:
-        rng = np.random.default_rng([seed, _TAG_DENSITY_DESIRED, batch_index])
-        gain, annulus, s_snr = _by_area(rng.random(batch), cfg)
-        s = gain * _desired_fading(rng, batch)
-        draws = tuple(
-            np.random.default_rng([seed, _TAG_DENSITY_FIELD, batch_index, j]) for j in range(3)
-        )
-        yield s, s_snr, _nested_field_powers(draws, annulus, steps, cfg)
+    rng = np.random.default_rng([seed, _TAG_DENSITY_DESIRED, index])
+    gain, annulus, s_snr = _by_area(rng.random(size), cfg)
+    s = gain * _desired_fading(rng, size)
+    draws = tuple(np.random.default_rng([seed, _TAG_DENSITY_FIELD, index, j]) for j in range(3))
+    return s, s_snr, _nested_field_powers(draws, annulus, steps, cfg)
 
 
 def _forked(work: Callable[[int], None], workers: int) -> None:
@@ -659,8 +651,8 @@ def _forked(work: Callable[[int], None], workers: int) -> None:
     Every child is reaped before this returns or raises, and one still
     running when the caller's own share raises is killed first.  A child
     that exits non-zero raises :class:`RuntimeError` naming its worker.
-    Without ``os.fork`` the shares run one after another in the calling
-    process.
+    It needs ``os.fork``, so :func:`coverage_vs_density` runs one worker
+    where the platform has none.
 
     Fork, not a fresh interpreter per worker: a spawned worker would
     import numpy and this package again, which takes about as long as the
@@ -668,10 +660,6 @@ def _forked(work: Callable[[int], None], workers: int) -> None:
     the calling thread, so call this while no other thread of the process
     holds a lock the work needs.
     """
-    if not hasattr(os, "fork"):
-        for w in range(workers):
-            work(w)
-        return
     children: dict[int, int] = {}  # worker -> pid
     finished = False
     try:
@@ -780,7 +768,7 @@ def coverage_vs_density(
     ``duty * n_bar_i`` is the one at ``n_bar_{i-1}`` plus an independent
     increment of intensity ``duty * (n_bar_i - n_bar_{i-1})``, so each
     batch walks the grid once and point i draws only its increment and adds
-    it to the running field powers (:func:`_density_batches`).  A batch's
+    it to the running field powers (:func:`_density_batch`).  A batch's
     increment is one Poisson count of interferers with uniform owner
     realizations, drawn with all the batch's other increments from
     generators ``(seed, _TAG_DENSITY_FIELD, batch, j)``, ``j = 0, 1, 2``.
@@ -791,23 +779,29 @@ def coverage_vs_density(
     points below it, and the interference columns never rise with the mean
     device count.
 
-    The batches run on ``threads`` workers (:func:`_forked`): the calling
-    process and ``min(threads, batches) - 1`` forked children.  Worker ``w``
-    of ``W`` runs batches ``w, w + W, ...``, each across the whole grid,
-    and writes each batch's raw sums (:func:`_evaluate`, ``8`` per point,
-    then the two noise-only sums) into that batch's row of a shared
-    anonymous mapping, ``8 * (8 * points + 2)`` bytes per batch of
-    ``_BATCH`` realizations.  Once every worker is done, the calling
-    process adds the rows in batch order, so every sum takes one addition
-    per batch, in batch order, and the bytes are the same at any
-    ``threads``.
+    The batches run on ``W = min(threads, batches, cpus)`` workers
+    (:func:`_forked`), where ``cpus`` counts the CPUs this process may run
+    on: the calling process and ``W - 1`` forked children, or the calling
+    process alone where the platform has no ``os.fork``.  Worker ``w`` runs
+    batches ``w, w + W, ...``, each across the whole grid, and writes each
+    batch's raw sums (:func:`_evaluate`, ``8`` per point, then the two
+    noise-only sums) into that batch's row of a shared anonymous mapping,
+    ``8 * (8 * points + 2)`` bytes per batch of ``_BATCH`` realizations.
+    Once every worker is done, the calling process adds the rows in batch
+    order, so every sum takes one addition per batch, in batch order, and
+    the bytes are the same at any ``threads``.
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
     require_integer("threads", threads, 1)
     n = spec.realizations_per_point
     batches = _batches(n)
-    workers = min(threads, len(batches))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads, len(batches), cpus) if hasattr(os, "fork") else 1
+    steps = np.diff(spec.grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
     width = 8 * len(spec.grid) + 2
     # Anonymous and zero-filled: each batch's sums add into zeros, and the
     # forked workers' writes reach the calling process.
@@ -817,21 +811,17 @@ def coverage_vs_density(
     def work(w: int) -> None:
         scratch = np.empty((3, _BATCH))
         y = np.empty((3, _BATCH))
-        share = batches[w::workers]
-        for (b, _), (s, s_snr, fields) in zip(
-            share, _density_batches(cfg, spec.grid, n, spec.seed, share)
-        ):
+        for b, size in batches[w::workers]:
+            s, s_snr, fields = _density_batch(cfg, steps, spec.seed, b, size)
             rows[b, -2:] = s_snr.sum(), (s_snr * s_snr).sum()
             for point, powers in zip(rows[b, :-2].reshape(-1, 8), fields):
-                _evaluate(_scaled(powers, None, y[:, : s.size]), s, point, scratch, s_snr)
+                _evaluate(_scaled(powers, None, y[:, :size]), s, point, scratch, s_snr)
 
     _forked(work, workers)
-    sums = np.zeros((len(spec.grid), 8))
-    snr = np.zeros(2)
-    for row in rows:
-        sums += row[:-2].reshape(-1, 8)
-        snr += row[-2:]
-    p_snr, se_snr = _mean_se(*snr, n)
+    # Along the first axis: the rows are added one at a time, in batch order.
+    total = np.add.reduce(rows, axis=0)
+    sums = total[:-2].reshape(-1, 8)
+    p_snr, se_snr = _mean_se(*total[-2:], n)
     return [_curve_point(n_bar, row, n, p_snr, se_snr) for row, n_bar in zip(sums, spec.grid)]
 
 

@@ -324,6 +324,31 @@ def test_sweep_density_rejects_zero_threads(capsys):
     assert pooled == single
 
 
+@pytest.mark.parametrize("command", ["sweep-distance", "sweep-density"])
+def test_sweeps_reject_zero_realizations_naming_the_flag(command, capsys):
+    code, out, err = run_cli([command, "--realizations", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --realizations" in err
+
+
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    """A config file saved with a UTF-8 byte-order mark reads as the same
+    file without it: its first key is honoured, not rejected."""
+    text = "cell_radius_km = 8\nmean_devices = 300\n"
+    outputs = []
+    for name, encoding in (("plain.cfg", "utf-8"), ("bom.cfg", "utf-8-sig")):
+        cfg_path = tmp_path / name
+        cfg_path.write_text(text, encoding=encoding)
+        args = ["sweep-distance", "--config", str(cfg_path), "--realizations", "50"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[1] == outputs[0]
+    assert _rows(outputs[0])[-1]["d_km"] == "8.0"
+
+
 def test_non_finite_config_value_fails_naming_key(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("cell_radius_km = inf\n", encoding="utf-8")
@@ -464,13 +489,28 @@ def test_removed_full_switch_is_rejected(command, capsys):
     assert "--full" in err
 
 
-def test_reproduce_script_rejects_removed_desk_switch(tmp_path, capsys):
-    """The script's run size is --realizations; --desk was the same as
-    --realizations 10000."""
+def _reproduce_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_paper_sweeps.py"
     spec = importlib.util.spec_from_file_location("reproduce_paper_sweeps", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flag", ["--realizations", "--threads"])
+def test_reproduce_script_rejects_zero_counts(flag, tmp_path, capsys):
+    module = _reproduce_script()
+    with pytest.raises(SystemExit) as exc:
+        module.main([flag, "0", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_reproduce_script_rejects_removed_desk_switch(tmp_path, capsys):
+    """The script's run size is --realizations; --desk was the same as
+    --realizations 10000."""
+    module = _reproduce_script()
     with pytest.raises(SystemExit) as exc:
         module.main(["--desk", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
@@ -542,10 +582,7 @@ def test_readme_library_block_runs(capsys):
 
 
 def test_reproduce_script_writes_cli_sweep_bytes(tmp_path, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_paper_sweeps.py"
-    spec = importlib.util.spec_from_file_location("reproduce_paper_sweeps", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _reproduce_script()
     flags = ["--seed", "3", "--realizations", "64"]
     threads = ["--threads", "2"]
     assert module.main(flags + threads + ["--out-dir", str(tmp_path / "script")]) == 0

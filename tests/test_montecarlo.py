@@ -144,10 +144,10 @@ def test_determinism_across_thread_counts():
 DENSITY_GRID = (0.0, 1.0, 30.0, 3000.0)
 
 
-def _density_sums_and_csv(monkeypatch, threads, n):
+def _density_sums_and_csv(monkeypatch, threads, n, cpus=6):
     """The per-point raw sums of a density sweep of DENSITY_GRID, as the
     sweep hands them to ``_curve_point``, its CSV and the number of
-    children it forked."""
+    children it forked, on a process allowed ``cpus`` CPUs."""
     recorded, forks = [], []
     curve_point, fork = montecarlo._curve_point, os.fork
 
@@ -164,6 +164,7 @@ def _density_sums_and_csv(monkeypatch, threads, n):
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "_curve_point", record)
         patch.setattr(os, "fork", counted_fork)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         spec = _density_spec(DENSITY_GRID, n=n, seed=42)
         points = coverage_vs_density(NetworkConfig(), spec, threads=threads)
     return np.array(recorded), curve_to_csv(points, "n_bar"), len(forks)
@@ -175,7 +176,9 @@ def _density_sums_in_place(n):
     adds into in place, in batch order, in the calling process."""
     sums = np.zeros((len(DENSITY_GRID), 8))
     scratch = np.empty((3, montecarlo._BATCH))
-    for s, s_snr, fields in montecarlo._density_batches(NetworkConfig(), DENSITY_GRID, n, 42):
+    steps = np.diff(DENSITY_GRID, prepend=0.0)
+    for b, size in montecarlo._batches(n):
+        s, s_snr, fields = montecarlo._density_batch(NetworkConfig(), steps, 42, b, size)
         for row, powers in zip(sums, fields):
             y = montecarlo._scaled(powers, None, np.empty((3, s.size)))
             montecarlo._evaluate(y, s, row, scratch, s_snr)
@@ -193,7 +196,8 @@ def test_density_batch_merge_independent_of_thread_count(monkeypatch):
     order: every point's raw sums, with a partial last batch (three and
     eleven batches) and with fewer batches than workers (two), are the same
     doubles at any worker count as those of one running array, and no child
-    outlives the call."""
+    outlives the call.  The process may use six CPUs, so the CPU cap forks
+    no fewer children than the thread count asks for."""
     for n in (2 * 4096 + 100, 4096 + 1, 10 * 4096 + 7):
         batches = len(montecarlo._batches(n))
         single_sums, single_csv, forks = _density_sums_and_csv(monkeypatch, 1, n)
@@ -207,9 +211,23 @@ def test_density_batch_merge_independent_of_thread_count(monkeypatch):
             _assert_no_child()
 
 
+def test_density_workers_capped_at_cpus(monkeypatch):
+    """The sweep runs at most one worker per CPU the process may use: on two
+    CPUs, six threads fork one child, and on one CPU none, with the bytes
+    of one worker."""
+    n = 10 * 4096 + 7
+    single_sums, single_csv, _ = _density_sums_and_csv(monkeypatch, 1, n)
+    for cpus in (1, 2):
+        sums, csv, forks = _density_sums_and_csv(monkeypatch, 6, n, cpus)
+        assert forks == cpus - 1
+        np.testing.assert_array_equal(sums, single_sums)
+        assert csv == single_csv
+        _assert_no_child()
+
+
 def test_density_sums_without_fork(monkeypatch):
-    """Where the platform has no fork, the shares run one after another in
-    the calling process, with the same bytes."""
+    """Where the platform has no fork, the sweep runs one worker, the
+    calling process, with the same bytes."""
     spec = _density_spec(DENSITY_GRID, n=2 * 4096 + 100, seed=42)
     single = coverage_vs_density(NetworkConfig(), spec)
     monkeypatch.delattr(os, "fork")
@@ -231,6 +249,7 @@ def test_density_worker_failure_raises_and_leaves_no_child(monkeypatch, fails_in
         return nested(*args)
 
     monkeypatch.setattr(montecarlo, "_nested_field_powers", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
     spec = _density_spec(DENSITY_GRID, n=3 * 4096, seed=42)
     if fails_in == "child":
         with pytest.raises(RuntimeError, match=r"worker 1 \(pid \d+\) exited with status 1"):
@@ -322,9 +341,11 @@ PIPELINE_N = 6 * montecarlo._BATCH + 100
 
 def test_point_sums_independent_of_thread_count(monkeypatch):
     """The threads draw the next batches while they evaluate this one, one
-    task per annulus into a zeroed array of its own, and the sums are added
-    in batch order: every point's raw sums, empty annuli and the partial
-    batch included, are the same doubles at any thread count."""
+    task per annulus that adds into its annulus's rows of the sums in place,
+    and a batch's tasks all finish before the next batch's start, so every
+    row takes one addition per batch, in batch order: every point's raw
+    sums, empty annuli and the partial batch included, are the same doubles
+    at any thread count."""
     assert len(montecarlo._batches(PIPELINE_N)) > montecarlo._AHEAD + 1
     single_sums, single_csv = _distance_sums_and_csv(monkeypatch, 1, PIPELINE_N)
     for threads in (2, 3, 8):
@@ -538,8 +559,9 @@ def test_density_increment_counts_are_poisson():
     grid = (0.0,) + default_density_grid(300.0, 12)
     n = 2 * 4096 + 2000
     empty = np.zeros(len(grid))
-    batches = montecarlo._density_batches(cfg, grid, n, 13)
-    for _, _, fields in batches:
+    steps = np.diff(grid, prepend=0.0)
+    for b, size in montecarlo._batches(n):
+        _, _, fields = montecarlo._density_batch(cfg, steps, 13, b, size)
         for i, (_, co_power, inter_power) in enumerate(fields):
             empty[i] += np.count_nonzero((co_power == 0.0) & (inter_power == 0.0))
     assert empty[0] == n
@@ -762,7 +784,9 @@ def test_density_standard_errors_are_the_direct_ones():
     grid = default_density_grid(3000.0, 8)
     snr = []
     columns = [{"p_max_co": [], "p_co": [], "p_sf": [], "p_snr_sf": []} for _ in grid]
-    for s, s_snr, fields in montecarlo._density_batches(cfg, grid, DIRECT_N, 5):
+    steps = np.diff(grid, prepend=0.0)
+    for b, size in montecarlo._batches(DIRECT_N):
+        s, s_snr, fields = montecarlo._density_batch(cfg, steps, 5, b, size)
         snr.append(s_snr)
         for point, powers in zip(columns, fields):
             y = montecarlo._scaled(powers, None, np.empty((3, s.size)))

@@ -351,8 +351,9 @@ def test_full_density_inter_sf_success_within_z_of_oracle():
     # inter-SF one, with its standard error.
     sums = np.zeros((len(spec.grid), 6))
     scratch = np.empty((3, montecarlo._BATCH))
-    batches = montecarlo._density_batches(cfg, spec.grid, spec.realizations_per_point, spec.seed)
-    for s, _, fields in batches:
+    steps = np.diff(spec.grid, prepend=0.0)
+    for b, size in montecarlo._batches(spec.realizations_per_point):
+        s, _, fields = montecarlo._density_batch(cfg, steps, spec.seed, b, size)
         y = np.empty((3, 1, s.size))
         for row, powers in zip(sums, fields):
             montecarlo._scaled(powers, None, y)
