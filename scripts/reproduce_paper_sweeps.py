@@ -11,9 +11,8 @@ Both default to 10^5 realizations per point; ``--realizations 10000`` gives
 the command line's fast desk-scale run.
 Each file is what ``lora-reliability sweep-distance`` / ``sweep-density``
 writes for the same seed and realization count, byte for byte.  --threads
-goes to both commands: ``sweep-distance`` runs on that many threads and
-``sweep-density`` on that many processes, at most one per CPU and one
-where the platform has no ``fork``; neither changes a byte.
+goes to both commands, which run on that many processes, at most one per
+CPU and one where the platform has no ``fork``; it changes no byte.
 Plot with any CSV tool; columns are documented in the README.
 """
 

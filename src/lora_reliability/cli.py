@@ -242,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="workers: threads in sweep-distance, processes in sweep-density "
-        "(never changes output bytes)",
+        help="worker processes, at most one per CPU (never changes output bytes)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

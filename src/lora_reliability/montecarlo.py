@@ -16,19 +16,19 @@ its distance, the seed and the realization count alone, not on the rest of
 the grid; all rows are positively correlated (common random numbers), those
 of one annulus most.  The density sweep's unit is the batch
 (:func:`_density_batch`), each across the whole grid, with fields drawn on
-the whole cell; its workers are the calling process and forked children
-(:func:`_forked`), which write each batch's raw sums into that batch's row
-of shared memory, and the calling process adds the rows in batch order.
-Its fields are nested: a Poisson process at ``n_bar_i`` is the one at
-``n_bar_{i-1}`` plus an independent increment, so grid point i draws only
-that increment and adds it to the field of the point below it.  The
-increment's interferers in one batch are a single Poisson count, each with
-a uniform owner realization, which gives every realization an independent
-Poisson count (Poisson splitting); each batch reads all its increments, in
-grid order, from three generators ``(seed, _TAG_DENSITY_FIELD, batch, j)``
-(:func:`_nested_field_powers`).  A density row therefore depends on the
-grid points below it, and its interference columns never rise with
-``n_bar``.
+the whole cell.  Its fields are nested: a Poisson process at ``n_bar_i`` is
+the one at ``n_bar_{i-1}`` plus an independent increment, so grid point i
+draws only that increment and adds it to the field of the point below it.
+The increment's interferers in one batch are a single Poisson count, each
+with a uniform owner realization, which gives every realization an
+independent Poisson count (Poisson splitting); each batch reads all its
+increments, in grid order, from three generators
+``(seed, _TAG_DENSITY_FIELD, batch, j)`` (:func:`_nested_field_powers`).
+A density row therefore depends on the grid points below it, and its
+interference columns never rise with ``n_bar``.  Both sweeps run on the
+same workers (:func:`_forked`), the calling process and forked children,
+which write each batch's raw sums into that batch's row of shared memory
+(:func:`_shared`); the calling process adds the rows in batch order.
 
 Both interference samplers cut their active interferers into chunks of at
 most ``_CHUNK``, at any count, so their memory per worker is bounded
@@ -71,9 +71,8 @@ factors 1/2 and 1/4 go on the finished means, so the scenario order
 computes ``y`` once per (annulus, batch), since the grid points of one
 annulus read the same ``P`` and ``f`` and differ only in ``G``, and
 evaluates those points together in row blocks of at most ``_BLOCK``
-elements, one task per (annulus, batch) that its threads run while they
-draw the next batches; the density sweep evaluates each point as one row
-with ``f = 1`` and ``G = s``.
+elements; the density sweep evaluates each point as one row with ``f = 1``
+and ``G = s``.
 
 The interference field is sampled in its thinned form: instead of drawing
 Poisson(mean_devices) candidates and keeping each with the duty-cycle
@@ -96,11 +95,8 @@ import math
 import mmap
 import os
 import signal
-import threading
 import traceback
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +134,6 @@ _CHUNK = 1 << 15
 # points of one annulus together, as many rows of a batch as fit.  Not part
 # of the stream contract: a point's sums are the same at any block size.
 _BLOCK = 5 * _BATCH
-
-# Batches the distance sweep draws ahead of the one it evaluates, so its
-# threads draw while they evaluate.  Not part of the stream contract.
-_AHEAD = 2
 
 # Stream tags keep the generator families of the different draw purposes
 # disjoint.  The density sweep samples the desired devices' distances and
@@ -405,64 +397,27 @@ def _ring_intervals(cfg: NetworkConfig) -> list[tuple[float, float]]:
     ]
 
 
-def _now(fn: Callable, *args) -> Future:
-    """The ``submit`` of one thread: ``fn(*args)`` now, as a done future."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
-@contextlib.contextmanager
-def _submitter(threads: int) -> Iterator[Callable[..., Future]]:
-    """:func:`_now` for one thread, else the ``submit`` of a pool of
-    ``threads`` threads that lives as long as the context."""
-    require_integer("threads", threads, 1)
-    if threads == 1:
-        yield _now
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pool.submit
-
-
 def _ring_batches(
-    cfg: NetworkConfig, n: int, seed: int, submit: Callable[..., Future] = _now
+    cfg: NetworkConfig, n: int, seed: int
 ) -> Iterator[list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
     """Per batch of ``n`` realizations, in batch order: the desired fading
     and the field powers of a desired device in each annulus, in annulus
-    order (:func:`_fold`).
-
-    The active devices are the superposition of six independent Poisson
-    processes, one per annulus (:func:`_ring_intervals`).  Batch ``b`` of
-    annulus k draws annulus k's desired fading, then its sub-field, from
-    generator ``(seed, _TAG_DISTANCE, k, b)``, as a task of ``submit``:
-    :func:`_now` or a thread pool's ``submit``, with the same bytes.  Batch
-    ``b`` is folded once the draws of batch ``b + _AHEAD`` are submitted,
-    and those of batch ``b + _AHEAD + 1`` only when the next batch is asked
-    for, so at most ``_AHEAD + 1`` batches are drawn and not yet folded.
-    """
+    order (:func:`_fold`).  Batch ``b`` of annulus k draws annulus k's
+    desired fading, then its sub-field (:func:`_ring_intervals`), from
+    generator ``(seed, _TAG_DISTANCE, k, b)``."""
     intervals = _ring_intervals(cfg)
-    pending: deque[list[Future]] = deque()
     for b, batch in _batches(n):
-        # Outer annuli hold more devices; submitting them first evens the
-        # threads' loads.
-        draws = [
-            submit(_draw, (seed, _TAG_DISTANCE, k, b), batch, cfg, intervals[k])
-            for k in range(5, -1, -1)
-        ]
-        pending.append(draws[::-1])
-        if len(pending) > _AHEAD:
-            yield _fold(pending.popleft())
-    while pending:
-        yield _fold(pending.popleft())
+        yield _fold(
+            [_draw((seed, _TAG_DISTANCE, k, b), batch, cfg, iv) for k, iv in enumerate(intervals)]
+        )
 
 
-def _fold(draws: list[Future]) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """One batch's six sub-field draws, in annulus order, as each annulus's
-    desired fading and field powers: its own sub-field's strongest term and
-    sum, and as inter-SF power the other five sums added in annulus order.
-    The total minus its own sum would cancel to 0 where its own sum
-    dominates, and turn a finite SIR into inf."""
-    rings = [draw.result() for draw in draws]
+def _fold(rings: list[tuple]) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """One batch's six sub-field draws (:func:`_draw`), in annulus order, as
+    each annulus's desired fading and field powers: its own sub-field's
+    strongest term and sum, and as inter-SF power the other five sums added
+    in annulus order.  The total minus its own sum would cancel to 0 where
+    its own sum dominates, and turn a finite SIR into inf."""
     sums = [power for _, (_, power) in rings]
     return [
         (fading, (strongest, sums[k], sum(sums[j] for j in range(6) if j != k)))
@@ -638,6 +593,25 @@ def _density_batch(
     return s, s_snr, _nested_field_powers(draws, annulus, steps, cfg)
 
 
+def _workers(threads: int, units: int) -> int:
+    """How many workers run ``units`` units of work (:func:`_forked`):
+    ``threads``, but at most ``units`` and the CPUs this process may run
+    on, and 1 where the platform has no ``os.fork``."""
+    require_integer("threads", threads, 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, units, cpus) if hasattr(os, "fork") else 1
+
+
+def _shared(*shape: int) -> np.ndarray:
+    """Zero-filled doubles of ``shape`` in an anonymous shared mapping, so
+    the writes of workers forked after this call reach the calling process
+    (:func:`_forked`)."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+
+
 def _forked(work: Callable[[int], None], workers: int) -> None:
     """Run ``work(w)`` for every worker ``w < workers``: worker 0 in the
     calling process, the others in children it forks, all at once, and
@@ -651,8 +625,8 @@ def _forked(work: Callable[[int], None], workers: int) -> None:
     Every child is reaped before this returns or raises, and one still
     running when the caller's own share raises is killed first.  A child
     that exits non-zero raises :class:`RuntimeError` naming its worker.
-    It needs ``os.fork``, so :func:`coverage_vs_density` runs one worker
-    where the platform has none.
+    It needs ``os.fork`` for more than one worker, and :func:`_workers`
+    gives both sweeps one where the platform has none.
 
     Fork, not a fresh interpreter per worker: a spawned worker would
     import numpy and this package again, which takes about as long as the
@@ -702,17 +676,23 @@ def success_vs_distance(
 
     Every batch draws one field for the whole grid, as six annulus
     sub-fields (:func:`_ring_batches`), and the grid points of one annulus
-    scale the same desired fading by their own gains.  A row therefore
-    depends only on its distance, the seed and the realization count, not
-    on the rest of the grid, and all points are positively correlated,
-    those of one annulus most.
+    scale the same desired fading by their own gains, in row blocks that
+    share its scaled powers (:func:`_scaled`, :func:`_evaluate`).  A row
+    therefore depends only on its distance, the seed and the realization
+    count, not on the rest of the grid, and all points are positively
+    correlated, those of one annulus most.
 
-    ``threads`` workers draw the sub-fields of the next ``_AHEAD`` batches
-    while they evaluate the current one, one task per annulus, in row blocks
-    that share its scaled powers (:func:`_scaled`, :func:`_evaluate`).  Each
-    task adds into its annulus's rows of the sums in place; a batch's tasks
-    write disjoint rows, and all of them finish before the next batch's
-    start, so every row takes one addition per batch, in batch order.
+    It runs on ``W`` workers, at most one per (annulus, batch) unit
+    (:func:`_workers`, :func:`_forked`).  With at least ``W`` batches,
+    worker ``w`` draws, folds (:func:`_fold`) and evaluates batches
+    ``w, w + W, ...``, each into its own zero-filled row of shared memory
+    (:func:`_shared`).  With fewer, the workers only draw the units, each
+    to the least-loaded worker by annulus area, into shared memory, and the
+    calling process folds and evaluates them.  Either way it adds the rows
+    in batch order, so the bytes are the same at any ``threads``.  A fork
+    copies only the calling thread, so while the sweep runs no other thread
+    of the caller may hold a lock the sweep needs; ``threads=1`` never
+    forks.
     """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
@@ -720,34 +700,64 @@ def success_vs_distance(
     gains = np.array([[gain] for gain, _ in pinned])
     # The grid's points of annulus k are rows starts[k]:starts[k + 1].
     starts = np.searchsorted([ring for _, ring in pinned], np.arange(7)).tolist()
-    sums = np.zeros((len(pinned), 6))
     # A block holds at most max(_BLOCK, batch) elements, and at most one
     # batch of each point of the annulus.
     widest = max(hi - lo for lo, hi in zip(starts, starts[1:]))
     scratch_shape = (3, min(max(_BLOCK, _BATCH), widest * _BATCH))
-    work = threading.local()  # one scratch array per thread
-
-    def evaluate(fading: np.ndarray, powers: tuple, lo: int, hi: int) -> None:
-        # Adds one batch of annulus sums into rows lo:hi of sums.
-        if not hasattr(work, "scratch"):
-            work.scratch = np.empty(scratch_shape)
-        # One row of realizations per scenario, against a column of gains.
-        y = _scaled(powers, fading, np.empty((3, fading.size)))[:, np.newaxis]
-        rows = max(1, _BLOCK // fading.size)
-        for row in range(lo, hi, rows):
-            end = min(row + rows, hi)
-            _evaluate(y, gains[row:end], sums[row:end], work.scratch)
-
-    with _submitter(threads) as submit:
-        for rings in _ring_batches(cfg, spec.realizations_per_point, spec.seed, submit):
-            tasks = [
-                submit(evaluate, *rings[ring], lo, hi)
-                for ring, (lo, hi) in enumerate(zip(starts, starts[1:]))
-                if lo < hi
-            ]
-            for task in tasks:  # the next batch adds into the same rows
-                task.result()
     n = spec.realizations_per_point
+    batches = _batches(n)
+    intervals = _ring_intervals(cfg)
+    workers = _workers(threads, 6 * len(batches))
+    rows = _shared(len(batches), len(pinned), 6)
+
+    def draw(k: int, b: int, size: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        return _draw((spec.seed, _TAG_DISTANCE, k, b), size, cfg, intervals[k])
+
+    def evaluate(rings: list, out: np.ndarray, scratch: np.ndarray) -> None:
+        # Adds one batch's sums into out, one row per point.
+        for (fading, powers), lo, hi in zip(rings, starts, starts[1:]):
+            if lo == hi:
+                continue
+            # One row of realizations per scenario, against a column of gains.
+            y = _scaled(powers, fading, np.empty((3, fading.size)))[:, np.newaxis]
+            step = max(1, _BLOCK // fading.size)
+            for row in range(lo, hi, step):
+                end = min(row + step, hi)
+                _evaluate(y, gains[row:end], out[row:end], scratch)
+
+    if len(batches) >= workers:
+        def by_batch(w: int) -> None:
+            scratch = np.empty(scratch_shape)
+            for b, size in batches[w::workers]:
+                evaluate(_fold([draw(k, b, size) for k in range(6)]), rows[b], scratch)
+
+        _forked(by_batch, workers)
+    else:
+        # Outer annuli first, each (annulus, batch) unit to the least-loaded
+        # worker, annulus k weighing 2k + 1 area shares per realization.
+        loads, shares = [0] * workers, [[] for _ in range(workers)]
+        for k in range(5, -1, -1):
+            for b, size in batches:
+                w = loads.index(min(loads))
+                loads[w] += (2 * k + 1) * size
+                shares[w].append((k, b, size))
+        # A child starts some ms after its fork and is reaped only once it has
+        # exited, so the caller takes the heaviest share.
+        shares = [shares[w] for w in sorted(range(workers), key=loads.__getitem__, reverse=True)]
+        drawn = _shared(len(batches), 6, 3, _BATCH)
+
+        def by_unit(w: int) -> None:
+            for k, b, size in shares[w]:
+                fading, powers = draw(k, b, size)
+                drawn[b, k, :, :size] = fading, *powers
+
+        _forked(by_unit, workers)
+        scratch = np.empty(scratch_shape)
+        for b, size in batches:
+            rings = [(f, (strongest, power)) for f, strongest, power in drawn[b, ..., :size]]
+            evaluate(_fold(rings), rows[b], scratch)
+    # Along the first axis: the rows are added one at a time, in batch order.
+    sums = np.add.reduce(rows, axis=0)
     return [
         _curve_point(d_km, row, n, snr_success_probability(d_km, SF_MIN + ring, cfg))
         for row, d_km, (_, ring) in zip(sums, spec.grid, pinned)
@@ -779,34 +789,22 @@ def coverage_vs_density(
     points below it, and the interference columns never rise with the mean
     device count.
 
-    The batches run on ``W = min(threads, batches, cpus)`` workers
-    (:func:`_forked`), where ``cpus`` counts the CPUs this process may run
-    on: the calling process and ``W - 1`` forked children, or the calling
-    process alone where the platform has no ``os.fork``.  Worker ``w`` runs
-    batches ``w, w + W, ...``, each across the whole grid, and writes each
-    batch's raw sums (:func:`_evaluate`, ``8`` per point, then the two
-    noise-only sums) into that batch's row of a shared anonymous mapping,
-    ``8 * (8 * points + 2)`` bytes per batch of ``_BATCH`` realizations.
-    Once every worker is done, the calling process adds the rows in batch
-    order, so every sum takes one addition per batch, in batch order, and
-    the bytes are the same at any ``threads``.
+    Worker ``w`` of ``W``, at most one per batch (:func:`_workers`,
+    :func:`_forked`), runs batches ``w, w + W, ...``, each across the whole
+    grid, and writes each batch's raw sums (:func:`_evaluate`, ``8`` per
+    point, then the two noise-only sums) into that batch's zero-filled row
+    of shared memory (:func:`_shared`), ``8 * (8 * points + 2)`` bytes per
+    batch of ``_BATCH`` realizations.  The calling process adds the rows in
+    batch order, so the bytes are the same at any ``threads``.
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
-    require_integer("threads", threads, 1)
     n = spec.realizations_per_point
     batches = _batches(n)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(threads, len(batches), cpus) if hasattr(os, "fork") else 1
+    workers = _workers(threads, len(batches))
     steps = np.diff(spec.grid, prepend=0.0)  # n_bar_i - n_bar_{i-1}, n_bar_{-1} = 0
     width = 8 * len(spec.grid) + 2
-    # Anonymous and zero-filled: each batch's sums add into zeros, and the
-    # forked workers' writes reach the calling process.
-    shared = mmap.mmap(-1, 8 * len(batches) * width)
-    rows = np.frombuffer(shared, dtype=float).reshape(len(batches), width)
+    rows = _shared(len(batches), width)
 
     def work(w: int) -> None:
         scratch = np.empty((3, _BATCH))

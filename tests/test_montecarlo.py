@@ -142,11 +142,24 @@ def test_determinism_across_thread_counts():
 
 
 DENSITY_GRID = (0.0, 1.0, 30.0, 3000.0)
+# Annuli 0, 1, 3 and 5 hold 1, 4, 5 and 9 points (rings every 2 km); 2 and 4
+# hold none.
+BLOCK_GRID = (1.0, 2.2, 2.7, 3.1, 3.6, 6.1, 6.5, 7.0, 7.4, 7.9) + tuple(
+    10.2 + 0.2 * i for i in range(9)
+)
 
 
-def _density_sums_and_csv(monkeypatch, threads, n, cpus=6):
-    """The per-point raw sums of a density sweep of DENSITY_GRID, as the
-    sweep hands them to ``_curve_point``, its CSV and the number of
+def _case(kind, n):
+    """The sweep of ``kind``, its spec of ``n`` realizations per point and
+    its CSV abscissa: DENSITY_GRID at seed 42, or BLOCK_GRID at seed 3."""
+    if kind == "density":
+        return coverage_vs_density, _density_spec(DENSITY_GRID, n=n, seed=42), "n_bar"
+    return success_vs_distance, _distance_spec(BLOCK_GRID, n=n, seed=3), "d_km"
+
+
+def _sums_and_csv(monkeypatch, kind, threads, n, cpus=6):
+    """The per-point raw sums of the sweep of ``kind`` (:func:`_case`), as
+    the sweep hands them to ``_curve_point``, its CSV and the number of
     children it forked, on a process allowed ``cpus`` CPUs."""
     recorded, forks = [], []
     curve_point, fork = montecarlo._curve_point, os.fork
@@ -165,9 +178,9 @@ def _density_sums_and_csv(monkeypatch, threads, n, cpus=6):
         patch.setattr(montecarlo, "_curve_point", record)
         patch.setattr(os, "fork", counted_fork)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        spec = _density_spec(DENSITY_GRID, n=n, seed=42)
-        points = coverage_vs_density(NetworkConfig(), spec, threads=threads)
-    return np.array(recorded), curve_to_csv(points, "n_bar"), len(forks)
+        sweep, spec, abscissa = _case(kind, n)
+        points = sweep(NetworkConfig(), spec, threads=threads)
+    return np.array(recorded), curve_to_csv(points, abscissa), len(forks)
 
 
 def _density_sums_in_place(n):
@@ -182,6 +195,23 @@ def _density_sums_in_place(n):
         for row, powers in zip(sums, fields):
             y = montecarlo._scaled(powers, None, np.empty((3, s.size)))
             montecarlo._evaluate(y, s, row, scratch, s_snr)
+    return sums
+
+
+def _distance_sums_in_place(n):
+    """Reference for the merge: the raw sums of the distance sweep of
+    BLOCK_GRID at seed 3 kept as one running array, which every batch of
+    ``_ring_batches`` adds into in place, in batch order, one point at a
+    time, in the calling process."""
+    cfg = NetworkConfig()
+    sums = np.zeros((len(BLOCK_GRID), 6))
+    scratch = np.empty((3, montecarlo._BATCH))
+    pinned = [montecarlo._pinned(cfg, d_km) for d_km in BLOCK_GRID]
+    for rings in montecarlo._ring_batches(cfg, n, 3):
+        for i, (gain, ring) in enumerate(pinned):
+            fading, powers = rings[ring]
+            y = montecarlo._scaled(powers, fading, np.empty((3, fading.size)))
+            montecarlo._evaluate(y[:, np.newaxis], np.array([[gain]]), sums[i : i + 1], scratch)
     return sums
 
 
@@ -200,38 +230,115 @@ def test_density_batch_merge_independent_of_thread_count(monkeypatch):
     no fewer children than the thread count asks for."""
     for n in (2 * 4096 + 100, 4096 + 1, 10 * 4096 + 7):
         batches = len(montecarlo._batches(n))
-        single_sums, single_csv, forks = _density_sums_and_csv(monkeypatch, 1, n)
+        single_sums, single_csv, forks = _sums_and_csv(monkeypatch, "density", 1, n)
         assert forks == 0
         np.testing.assert_array_equal(single_sums, _density_sums_in_place(n))
         for threads in (2, 3, 6):
-            sums, csv, forks = _density_sums_and_csv(monkeypatch, threads, n)
+            sums, csv, forks = _sums_and_csv(monkeypatch, "density", threads, n)
             assert forks == min(threads, batches) - 1
             np.testing.assert_array_equal(sums, single_sums)
             assert csv == single_csv
             _assert_no_child()
 
 
-def test_density_workers_capped_at_cpus(monkeypatch):
-    """The sweep runs at most one worker per CPU the process may use: on two
-    CPUs, six threads fork one child, and on one CPU none, with the bytes
-    of one worker."""
+def test_point_sums_independent_of_thread_count(monkeypatch):
+    """With at least W batches (seven, the last one partial), worker w of W
+    draws, folds and evaluates batches w, w + W, ...; with fewer (one
+    partial batch, and two at three and six workers), the workers draw the
+    (annulus, batch) units and the calling process folds and evaluates every
+    batch.  Either way the calling process adds the batches' rows in batch
+    order: every point's raw sums, empty annuli included, are the same
+    doubles at any worker count as those of one running array, and no child
+    outlives the call.  The process may use six CPUs, and there are six
+    units per batch, so the sweep forks W - 1 = threads - 1 children."""
+    fold, folds = montecarlo._fold, []
+
+    def counted_fold(rings):
+        folds.append(os.getpid())  # a child's list is its own copy
+        return fold(rings)
+
+    monkeypatch.setattr(montecarlo, "_fold", counted_fold)
+    for n in (6 * 4096 + 100, 3000, 4096 + 1):
+        batches = len(montecarlo._batches(n))
+        single_sums, single_csv, forks = _sums_and_csv(monkeypatch, "distance", 1, n)
+        assert forks == 0
+        np.testing.assert_array_equal(single_sums, _distance_sums_in_place(n))
+        for threads in (2, 3, 6):
+            folds.clear()
+            sums, csv, forks = _sums_and_csv(monkeypatch, "distance", threads, n)
+            assert forks == threads - 1
+            # The calling process folds its own batches, or all of them.
+            own = len(range(0, batches, threads)) if batches >= threads else batches
+            assert len(folds) == own
+            np.testing.assert_array_equal(sums, single_sums)
+            assert csv == single_csv
+            _assert_no_child()
+
+
+def _assert_workers_capped_at_cpus(monkeypatch, kind):
     n = 10 * 4096 + 7
-    single_sums, single_csv, _ = _density_sums_and_csv(monkeypatch, 1, n)
+    single_sums, single_csv, _ = _sums_and_csv(monkeypatch, kind, 1, n)
     for cpus in (1, 2):
-        sums, csv, forks = _density_sums_and_csv(monkeypatch, 6, n, cpus)
+        sums, csv, forks = _sums_and_csv(monkeypatch, kind, 6, n, cpus)
         assert forks == cpus - 1
         np.testing.assert_array_equal(sums, single_sums)
         assert csv == single_csv
         _assert_no_child()
 
 
+def test_density_workers_capped_at_cpus(monkeypatch):
+    """The sweep runs at most one worker per CPU the process may use: on two
+    CPUs, six threads fork one child, and on one CPU none, with the bytes
+    of one worker."""
+    _assert_workers_capped_at_cpus(monkeypatch, "density")
+
+
+def test_distance_workers_capped_at_cpus(monkeypatch):
+    """As for the density sweep."""
+    _assert_workers_capped_at_cpus(monkeypatch, "distance")
+
+
+def _assert_sums_without_fork(monkeypatch, kind):
+    for n in (2 * 4096 + 100, 3000):
+        sweep, spec, _ = _case(kind, n)
+        single = sweep(NetworkConfig(), spec)
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert sweep(NetworkConfig(), spec, threads=3) == single
+
+
 def test_density_sums_without_fork(monkeypatch):
     """Where the platform has no fork, the sweep runs one worker, the
-    calling process, with the same bytes."""
-    spec = _density_spec(DENSITY_GRID, n=2 * 4096 + 100, seed=42)
-    single = coverage_vs_density(NetworkConfig(), spec)
-    monkeypatch.delattr(os, "fork")
-    assert coverage_vs_density(NetworkConfig(), spec, threads=3) == single
+    calling process, with the same bytes, with more batches than workers
+    and with fewer."""
+    _assert_sums_without_fork(monkeypatch, "density")
+
+
+def test_distance_sums_without_fork(monkeypatch):
+    """As for the density sweep."""
+    _assert_sums_without_fork(monkeypatch, "distance")
+
+
+def _assert_worker_failure(monkeypatch, kind, fails_in):
+    parent = os.getpid()
+    sampler = "_nested_field_powers" if kind == "density" else "_field_powers"
+    draw = getattr(montecarlo, sampler)
+
+    def failing(*args):
+        if (os.getpid() == parent) == (fails_in == "parent"):
+            raise ZeroDivisionError("sampler failed")
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, sampler, failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    sweep, spec, _ = _case(kind, 3 * 4096)
+    if fails_in == "child":
+        with pytest.raises(RuntimeError, match=r"worker 1 \(pid \d+\) exited with status 1"):
+            sweep(NetworkConfig(), spec, threads=2)
+    else:
+        with pytest.raises(ZeroDivisionError, match="sampler failed"):
+            sweep(NetworkConfig(), spec, threads=3)
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("fails_in", ["child", "parent"])
@@ -240,24 +347,13 @@ def test_density_worker_failure_raises_and_leaves_no_child(monkeypatch, fails_in
     calling process, naming the worker; one that raises in the calling
     process raises its own error there, after the children are killed.
     Either way every child is reaped."""
-    parent = os.getpid()
-    nested = montecarlo._nested_field_powers
+    _assert_worker_failure(monkeypatch, "density", fails_in)
 
-    def failing(*args):
-        if (os.getpid() == parent) == (fails_in == "parent"):
-            raise ZeroDivisionError("sampler failed")
-        return nested(*args)
 
-    monkeypatch.setattr(montecarlo, "_nested_field_powers", failing)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
-    spec = _density_spec(DENSITY_GRID, n=3 * 4096, seed=42)
-    if fails_in == "child":
-        with pytest.raises(RuntimeError, match=r"worker 1 \(pid \d+\) exited with status 1"):
-            coverage_vs_density(NetworkConfig(), spec, threads=2)
-    else:
-        with pytest.raises(ZeroDivisionError, match="sampler failed"):
-            coverage_vs_density(NetworkConfig(), spec, threads=3)
-    _assert_no_child()
+@pytest.mark.parametrize("fails_in", ["child", "parent"])
+def test_distance_worker_failure_raises_and_leaves_no_child(monkeypatch, fails_in):
+    """As for the density sweep."""
+    _assert_worker_failure(monkeypatch, "distance", fails_in)
 
 
 @pytest.mark.parametrize("threads", [0, -1, 1.5, True])
@@ -296,96 +392,19 @@ def test_output_independent_of_chunk_size(monkeypatch, chunk):
     assert csvs() == default
 
 
-# Annuli 0, 1, 3 and 5 hold 1, 4, 5 and 9 points (rings every 2 km); 2 and 4
-# hold none.
-BLOCK_GRID = (1.0, 2.2, 2.7, 3.1, 3.6, 6.1, 6.5, 7.0, 7.4, 7.9) + tuple(
-    10.2 + 0.2 * i for i in range(9)
-)
-
-
-def _distance_sums_and_csv(monkeypatch, threads, n=5000):
-    """The per-point raw sums of a distance sweep of BLOCK_GRID (by default
-    one full batch and a partial one), as the sweep hands them to
-    ``_curve_point``, and its CSV."""
-    recorded = []
-    curve_point = montecarlo._curve_point
-
-    def record(abscissa, sums, *rest):
-        recorded.append(sums.copy())
-        return curve_point(abscissa, sums, *rest)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(montecarlo, "_curve_point", record)
-        spec = _distance_spec(BLOCK_GRID, n=n, seed=3)
-        points = success_vs_distance(NetworkConfig(), spec, threads=threads)
-    return np.array(recorded), curve_to_csv(points, "d_km")
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "block", [1, 3 * montecarlo._BATCH, 1 << 40], ids=["one-row", "three-rows", "whole-annulus"]
 )
 def test_output_independent_of_block_size(monkeypatch, block, threads):
     """Each row's sums are taken along its own realizations, so the point
-    sums, and not only the CSV, are exactly those of the default blocks."""
-    default_sums, default_csv = _distance_sums_and_csv(monkeypatch, 1)
+    sums, and not only the CSV, are exactly those of the default blocks, with
+    one full batch and a partial one."""
+    default_sums, default_csv, _ = _sums_and_csv(monkeypatch, "distance", 1, 5000)
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
-    sums, csv = _distance_sums_and_csv(monkeypatch, threads)
+    sums, csv, _ = _sums_and_csv(monkeypatch, "distance", threads, 5000)
     np.testing.assert_array_equal(sums, default_sums)
     assert csv == default_csv
-
-
-# Six full batches and a partial one: more than the draws kept in flight.
-PIPELINE_N = 6 * montecarlo._BATCH + 100
-
-
-def test_point_sums_independent_of_thread_count(monkeypatch):
-    """The threads draw the next batches while they evaluate this one, one
-    task per annulus that adds into its annulus's rows of the sums in place,
-    and a batch's tasks all finish before the next batch's start, so every
-    row takes one addition per batch, in batch order: every point's raw
-    sums, empty annuli and the partial batch included, are the same doubles
-    at any thread count."""
-    assert len(montecarlo._batches(PIPELINE_N)) > montecarlo._AHEAD + 1
-    single_sums, single_csv = _distance_sums_and_csv(monkeypatch, 1, PIPELINE_N)
-    for threads in (2, 3, 8):
-        sums, csv = _distance_sums_and_csv(monkeypatch, threads, PIPELINE_N)
-        np.testing.assert_array_equal(sums, single_sums)
-        assert csv == single_csv
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_draws_run_at_most_the_lookahead_ahead(monkeypatch, threads):
-    """A batch's draws start only once the batch ``_AHEAD + 1`` before it is
-    folded, so at most ``_AHEAD + 1`` batches are drawn and not yet folded,
-    at any realization count; one thread draws exactly ``_AHEAD`` ahead."""
-    events = []
-    draw, fold = montecarlo._draw, montecarlo._fold
-
-    def record_draw(stream, *args):
-        events.append(("draw", stream[-1]))  # the stream's batch index
-        return draw(stream, *args)
-
-    def record_fold(draws):
-        rings = fold(draws)
-        events.append(("fold", None))
-        return rings
-
-    monkeypatch.setattr(montecarlo, "_draw", record_draw)
-    monkeypatch.setattr(montecarlo, "_fold", record_fold)
-    spec = _distance_spec(BLOCK_GRID, n=PIPELINE_N, seed=3)
-    success_vs_distance(NetworkConfig(), spec, threads=threads)
-    folded, leads = 0, []
-    for kind, batch in events:
-        if kind == "fold":
-            folded += 1
-        else:
-            leads.append(batch - folded)
-    assert folded == len(montecarlo._batches(PIPELINE_N))
-    assert len(leads) == 6 * folded
-    assert max(leads) <= montecarlo._AHEAD
-    if threads == 1:
-        assert max(leads) == montecarlo._AHEAD
 
 
 def _sampler_arrays(batch):
@@ -796,3 +815,62 @@ def test_density_standard_errors_are_the_direct_ones():
     points = coverage_vs_density(cfg, _density_spec(grid, n=DIRECT_N, seed=5))
     for pt, point in zip(points, columns, strict=True):
         _assert_direct(pt, {"p_snr": snr, **point}, DIRECT_N)
+
+
+# B full batches of 4096 realizations; the bounds are the 0.1% and 99.9%
+# quantiles of chi2_{B-1} / (B - 1), fixed before the first run.
+CALIBRATION_BATCHES = 40
+CALIBRATION_BOUNDS = (0.443, 1.848)
+
+
+@pytest.mark.parametrize("kind", ["distance", "density"])
+def test_batch_means_calibrate_the_standard_errors(monkeypatch, kind):
+    """Each batch draws from its own generators, so a column's B batch
+    means are independent, and their variance over B estimates the squared
+    standard error of the mean of all B * 4096 realizations.  Over the
+    default grid at seed 11, the median of (variance / B) / se**2 of every
+    column lies within the chi-square bounds above.  The rows of one sweep
+    are correlated, so the bound is on the median over the grid and not on
+    single rows; a column whose se is 0, the distance p_snr, is skipped.
+    The batch sums are the rows the sweep merges, read from its shared
+    memory."""
+    shared, make = [], montecarlo._shared
+
+    def record(*shape):
+        shared.append(make(*shape))
+        return shared[-1]
+
+    monkeypatch.setattr(montecarlo, "_shared", record)
+    cfg, size = NetworkConfig(), montecarlo._BATCH
+    n = CALIBRATION_BATCHES * size
+    if kind == "distance":
+        grid = default_distance_grid(cfg)
+        points = success_vs_distance(cfg, _distance_spec(grid, n=n, seed=11))
+        (rows,) = shared
+        p_snr = np.broadcast_to([pt.probs.p_snr for pt in points], rows.shape[:2])
+        p_snr_sf = p_snr * 0.25 * rows[..., 4] / size
+    else:
+        grid = default_density_grid()
+        points = coverage_vs_density(cfg, _density_spec(grid, n=n, seed=11))
+        (shared_rows,) = shared
+        rows = shared_rows[:, :-2].reshape(CALIBRATION_BATCHES, len(grid), 8)
+        p_snr = np.repeat(shared_rows[:, -2:-1] / size, len(grid), axis=1)
+        p_snr_sf = 0.25 * rows[..., 6] / size
+    batch_means = {
+        "p_snr": p_snr,
+        "p_max_co": 0.5 * rows[..., 2] / size,
+        "p_co": 0.5 * rows[..., 3] / size,
+        "p_sf": 0.25 * rows[..., 4] / size,
+        "p_snr_sf": p_snr_sf,
+    }
+    low, high = CALIBRATION_BOUNDS
+    for column, means in batch_means.items():
+        probs = [getattr(pt.probs, column) for pt in points]
+        np.testing.assert_allclose(means.mean(axis=0), probs, rtol=1e-12, atol=0.0)
+        se = np.array([getattr(pt.stderr, column) for pt in points])
+        kept = se > 0.0
+        if kind == "distance" and column == "p_snr":
+            assert not kept.any()
+            continue
+        ratio = means.var(axis=0, ddof=1)[kept] / CALIBRATION_BATCHES / se[kept] ** 2
+        assert low <= np.median(ratio) <= high, (column, np.median(ratio))
