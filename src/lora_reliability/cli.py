@@ -168,7 +168,7 @@ def _check_saw_tooth(cfg: NetworkConfig) -> tuple[bool, str]:
 def _check_interference_algebra(cfg: NetworkConfig) -> tuple[bool, str]:
     # One batch of the distance sweep's kernel: per annulus, the desired
     # fading and (strongest co-SF term, co-SF sum, inter-SF sum).
-    rings = next(montecarlo._ring_batches(cfg, montecarlo._BATCH, cfg.seed))
+    rings = montecarlo._ring_batch(cfg, cfg.seed, 0, montecarlo._BATCH)
     total = sum(co for _, (_, co, _) in rings)  # the six sub-field sums
     for k, (_, (strongest, co, inter)) in enumerate(rings):
         if np.any(np.abs((co + inter) - total) > 1e-12 * total):

@@ -4,19 +4,19 @@ coverage probability versus the average number of devices.
 Determinism contract: every work unit draws from its own generators, seeded
 by the seed, a stream tag and the unit's indices, and results are added in
 index order, so output is bit-identical no matter how many workers run the
-sweep.  The distance sweep's unit is the (annulus, batch) pair.  The active
-devices form a Poisson process on the cell, which is the superposition of
-six independent Poisson processes, one per annulus, so each batch draws the
-field once for the whole grid, as six annulus sub-fields
-(:func:`_ring_batches`).  A desired device in annulus k reads sub-field k as
-its co-SF field and the other five as its inter-SF field; the grid points of
-one annulus also share annulus k's desired fading, because in normalized
-units a point's SIR is ``(d/R)**(-eta) * fading / I``.  So a row depends on
-its distance, the seed and the realization count alone, not on the rest of
-the grid; all rows are positively correlated (common random numbers), those
-of one annulus most.  The density sweep's unit is the batch
-(:func:`_density_batch`), each across the whole grid, with fields drawn on
-the whole cell.  Its fields are nested: a Poisson process at ``n_bar_i`` is
+sweep.  The distance sweep's unit is the (annulus, batch) pair
+(:func:`_ring_draw`).  The active devices form a Poisson process on the
+cell, which is the superposition of six independent Poisson processes, one
+per annulus, so each batch draws the field once for the whole grid, as six
+annulus sub-fields (:func:`_ring_batch`).  A desired device in annulus k
+reads sub-field k as its co-SF field and the other five as its inter-SF
+field; the grid points of one annulus also share annulus k's desired fading,
+because in normalized units a point's SIR is ``(d/R)**(-eta) * fading / I``.
+So a row depends on its distance, the seed and the realization count alone,
+not on the rest of the grid; all rows are positively correlated (common
+random numbers), those of one annulus most.  The density sweep's unit is the
+batch (:func:`_density_batch`), each across the whole grid, with fields drawn
+on the whole cell.  Its fields are nested: a Poisson process at ``n_bar_i`` is
 the one at ``n_bar_{i-1}`` plus an independent increment, so grid point i
 draws only that increment and adds it to the field of the point below it.
 The increment's interferers in one batch are a single Poisson count, each
@@ -28,7 +28,10 @@ A density row therefore depends on the grid points below it, and its
 interference columns never rise with ``n_bar``.  Both sweeps run on the
 same workers (:func:`_forked`), the calling process and forked children,
 which write each batch's raw sums into that batch's row of shared memory
-(:func:`_shared`); the calling process adds the rows in batch order.
+(:func:`_shared`); the calling process adds the rows in batch order.  Where
+the distance sweep has fewer batches than workers, the workers first only
+draw its units into shared memory, and the calling process then runs every
+batch from them.
 
 Both interference samplers cut their active interferers into chunks of at
 most ``_CHUNK``, at any count, so their memory per worker is bounded
@@ -81,7 +84,7 @@ Poisson(duty_cycle * mean_devices) with i.i.d. uniform positions.  The two
 procedures produce identically distributed active fields, and only active
 interferers enter any SIR.  These samplers are the only Monte Carlo engine,
 and ``validate`` checks its interference algebra on one batch of
-:func:`_ring_batches`.  The object-level path in
+:func:`_ring_batch`.  The object-level path in
 :mod:`lora_reliability.reference` keeps the explicit candidate-plus-thinning
 form as the independent reference that the tests compare against; no sweep,
 estimate or command imports it.
@@ -224,14 +227,16 @@ def default_distance_grid(
 def default_density_grid(
     n_bar_max: float = 3000.0, points: int = DENSITY_GRID_POINTS
 ) -> tuple[float, ...]:
-    """Log-spaced mean device counts from 1 to ``n_bar_max`` inclusive."""
+    """Log-spaced mean device counts from 1 to ``n_bar_max`` inclusive.  An
+    ``n_bar_max`` within a few ulps of 1 rounds some counts together; each
+    distinct one is kept once, so the grid may hold fewer than ``points``."""
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     if not (math.isfinite(n_bar_max) and n_bar_max > 1):
         raise ValueError(f"n_bar_max must be finite and > 1, got {n_bar_max}")
     grid = np.geomspace(1.0, n_bar_max, points)
     grid[0], grid[-1] = 1.0, float(n_bar_max)
-    return tuple(float(x) for x in grid)
+    return tuple(float(x) for x in np.unique(grid))
 
 
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -363,17 +368,6 @@ def _nested_field_powers(
         yield strongest, co_power, inter_power
 
 
-def _draw(
-    stream: tuple[int, ...], batch: int, cfg: NetworkConfig, interval: tuple[float, float]
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One batch from generator ``stream``: the desired fading, then the
-    powers of one annulus's sub-field at ``cfg.mean_devices`` (see
-    :func:`_field_powers`)."""
-    rng = np.random.default_rng(stream)
-    fading = _desired_fading(rng, batch)
-    return fading, _field_powers(rng, batch, cfg.mean_devices, cfg, interval)
-
-
 def _desired_fading(rng: np.random.Generator, batch: int) -> np.ndarray:
     """One batch of desired-device fading: exponential draws raised to at
     least the smallest normal double.  A draw is exactly 0 with probability
@@ -397,31 +391,40 @@ def _ring_intervals(cfg: NetworkConfig) -> list[tuple[float, float]]:
     ]
 
 
-def _ring_batches(
-    cfg: NetworkConfig, n: int, seed: int
-) -> Iterator[list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
-    """Per batch of ``n`` realizations, in batch order: the desired fading
-    and the field powers of a desired device in each annulus, in annulus
-    order (:func:`_fold`).  Batch ``b`` of annulus k draws annulus k's
-    desired fading, then its sub-field (:func:`_ring_intervals`), from
-    generator ``(seed, _TAG_DISTANCE, k, b)``."""
-    intervals = _ring_intervals(cfg)
-    for b, batch in _batches(n):
-        yield _fold(
-            [_draw((seed, _TAG_DISTANCE, k, b), batch, cfg, iv) for k, iv in enumerate(intervals)]
-        )
+def _ring_draw(cfg: NetworkConfig, seed: int, k: int, b: int, out: np.ndarray) -> None:
+    """Unit (annulus ``k``, batch ``b``) of the distance sweep: write
+    annulus k's desired fading, then its sub-field's strongest term and sum
+    at ``cfg.mean_devices`` (:func:`_ring_intervals`, :func:`_field_powers`),
+    into ``out[0]``, ``out[1]`` and ``out[2]``, one realization per column.
+    Each unit draws from generator ``(seed, _TAG_DISTANCE, k, b)``."""
+    rng = np.random.default_rng((seed, _TAG_DISTANCE, k, b))
+    size = out.shape[-1]
+    out[0] = _desired_fading(rng, size)
+    out[1], out[2] = _field_powers(rng, size, cfg.mean_devices, cfg, _ring_intervals(cfg)[k])
 
 
-def _fold(rings: list[tuple]) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """One batch's six sub-field draws (:func:`_draw`), in annulus order, as
-    each annulus's desired fading and field powers: its own sub-field's
-    strongest term and sum, and as inter-SF power the other five sums added
-    in annulus order.  The total minus its own sum would cancel to 0 where
-    its own sum dominates, and turn a finite SIR into inf."""
-    sums = [power for _, (_, power) in rings]
+def _ring_batch(
+    cfg: NetworkConfig, seed: int, b: int, size: int
+) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """Batch ``b`` of ``size`` realizations (:func:`_batches`): the six
+    units of :func:`_ring_draw`, folded (:func:`_fold`)."""
+    units = np.empty((6, 3, size))
+    for k in range(6):
+        _ring_draw(cfg, seed, k, b, units[k])
+    return _fold(units)
+
+
+def _fold(units: np.ndarray) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """One batch's six units (:func:`_ring_draw`), an array of shape
+    ``(6, 3, size)`` in annulus order, as each annulus's desired fading and
+    field powers: its own sub-field's strongest term and sum, and as
+    inter-SF power the other five sums added in annulus order.  The total
+    minus its own sum would cancel to 0 where its own sum dominates, and
+    turn a finite SIR into inf."""
+    sums = units[:, 2]
     return [
         (fading, (strongest, sums[k], sum(sums[j] for j in range(6) if j != k)))
-        for k, (fading, (strongest, _)) in enumerate(rings)
+        for k, (fading, strongest, _) in enumerate(units)
     ]
 
 
@@ -675,7 +678,7 @@ def success_vs_distance(
     resampled every realization.
 
     Every batch draws one field for the whole grid, as six annulus
-    sub-fields (:func:`_ring_batches`), and the grid points of one annulus
+    sub-fields (:func:`_ring_batch`), and the grid points of one annulus
     scale the same desired fading by their own gains, in row blocks that
     share its scaled powers (:func:`_scaled`, :func:`_evaluate`).  A row
     therefore depends only on its distance, the seed and the realization
@@ -683,16 +686,17 @@ def success_vs_distance(
     correlated, those of one annulus most.
 
     It runs on ``W`` workers, at most one per (annulus, batch) unit
-    (:func:`_workers`, :func:`_forked`).  With at least ``W`` batches,
-    worker ``w`` draws, folds (:func:`_fold`) and evaluates batches
-    ``w, w + W, ...``, each into its own zero-filled row of shared memory
-    (:func:`_shared`).  With fewer, the workers only draw the units, each
-    to the least-loaded worker by annulus area, into shared memory, and the
-    calling process folds and evaluates them.  Either way it adds the rows
-    in batch order, so the bytes are the same at any ``threads``.  A fork
-    copies only the calling thread, so while the sweep runs no other thread
-    of the caller may hold a lock the sweep needs; ``threads=1`` never
-    forks.
+    (:func:`_workers`, :func:`_forked`).  Worker ``w`` draws, folds
+    (:func:`_fold`) and evaluates batches ``w, w + W, ...``, each into its
+    own zero-filled row of shared memory (:func:`_shared`).  With fewer
+    batches than workers, the workers first only draw the units
+    (:func:`_ring_draw`), each to the least-loaded worker by annulus area,
+    into shared memory, and the same loop then runs in the calling process
+    alone, folding the drawn units instead of drawing them.  The calling
+    process adds the rows in batch order, so the bytes are the same at any
+    ``threads``.  A fork copies only the calling thread, so while the sweep
+    runs no other thread of the caller may hold a lock the sweep needs;
+    ``threads=1`` never forks.
     """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
@@ -706,33 +710,10 @@ def success_vs_distance(
     scratch_shape = (3, min(max(_BLOCK, _BATCH), widest * _BATCH))
     n = spec.realizations_per_point
     batches = _batches(n)
-    intervals = _ring_intervals(cfg)
     workers = _workers(threads, 6 * len(batches))
     rows = _shared(len(batches), len(pinned), 6)
-
-    def draw(k: int, b: int, size: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        return _draw((spec.seed, _TAG_DISTANCE, k, b), size, cfg, intervals[k])
-
-    def evaluate(rings: list, out: np.ndarray, scratch: np.ndarray) -> None:
-        # Adds one batch's sums into out, one row per point.
-        for (fading, powers), lo, hi in zip(rings, starts, starts[1:]):
-            if lo == hi:
-                continue
-            # One row of realizations per scenario, against a column of gains.
-            y = _scaled(powers, fading, np.empty((3, fading.size)))[:, np.newaxis]
-            step = max(1, _BLOCK // fading.size)
-            for row in range(lo, hi, step):
-                end = min(row + step, hi)
-                _evaluate(y, gains[row:end], out[row:end], scratch)
-
-    if len(batches) >= workers:
-        def by_batch(w: int) -> None:
-            scratch = np.empty(scratch_shape)
-            for b, size in batches[w::workers]:
-                evaluate(_fold([draw(k, b, size) for k in range(6)]), rows[b], scratch)
-
-        _forked(by_batch, workers)
-    else:
+    drawn = None
+    if len(batches) < workers:
         # Outer annuli first, each (annulus, batch) unit to the least-loaded
         # worker, annulus k weighing 2k + 1 area shares per realization.
         loads, shares = [0] * workers, [[] for _ in range(workers)]
@@ -746,16 +727,31 @@ def success_vs_distance(
         shares = [shares[w] for w in sorted(range(workers), key=loads.__getitem__, reverse=True)]
         drawn = _shared(len(batches), 6, 3, _BATCH)
 
-        def by_unit(w: int) -> None:
+        def prefetch(w: int) -> None:
             for k, b, size in shares[w]:
-                fading, powers = draw(k, b, size)
-                drawn[b, k, :, :size] = fading, *powers
+                _ring_draw(cfg, spec.seed, k, b, drawn[b, k, :, :size])
 
-        _forked(by_unit, workers)
+        _forked(prefetch, workers)
+        workers = 1
+
+    def work(w: int) -> None:
         scratch = np.empty(scratch_shape)
-        for b, size in batches:
-            rings = [(f, (strongest, power)) for f, strongest, power in drawn[b, ..., :size]]
-            evaluate(_fold(rings), rows[b], scratch)
+        for b, size in batches[w::workers]:
+            if drawn is None:
+                rings = _ring_batch(cfg, spec.seed, b, size)
+            else:
+                rings = _fold(drawn[b, ..., :size])
+            for (fading, powers), lo, hi in zip(rings, starts, starts[1:]):
+                if lo == hi:
+                    continue
+                # One row of realizations per scenario, against a column of gains.
+                y = _scaled(powers, fading, np.empty((3, size)))[:, np.newaxis]
+                step = max(1, _BLOCK // size)
+                for row in range(lo, hi, step):
+                    end = min(row + step, hi)
+                    _evaluate(y, gains[row:end], rows[b, row:end], scratch)
+
+    _forked(work, workers)
     # Along the first axis: the rows are added one at a time, in batch order.
     sums = np.add.reduce(rows, axis=0)
     return [
@@ -832,8 +828,8 @@ def estimate_mean_sir(
     """Median and fraction of infinite draws of the per-scenario SIRs of a
     desired device pinned at ``d_km``.  For the same seed and realization
     count these are the draws behind the ``d_km`` row of any distance sweep
-    whose grid holds ``d_km``: it reads the same six annulus sub-fields
-    (:func:`_ring_batches`), so ``stats["co"].inf_fraction`` is the share of
+    whose grid holds ``d_km``: it folds the same six units of each batch
+    (:func:`_ring_batch`), so ``stats["co"].inf_fraction`` is the share of
     that row's realizations with no active same-SF interferer.  No mean is
     reported: it does not settle as ``n`` grows (see :class:`SirStats`).
     Keys: ``max_co``, ``co``, ``inter``."""
@@ -841,8 +837,8 @@ def estimate_mean_sir(
     require_integer("seed", seed, 0)
     gain, ring = _pinned(cfg, d_km)
     kept: list[list[np.ndarray]] = [[], [], []]
-    for rings in _ring_batches(cfg, n, seed):
-        fading, powers = rings[ring]
+    for b, size in _batches(n):
+        fading, powers = _ring_batch(cfg, seed, b, size)[ring]
         for arrays, gammas in zip(kept, _sirs(powers, gain * fading)):
             arrays.append(gammas)
     stats = {}

@@ -154,6 +154,15 @@ def test_sweep_distance_grid_near_the_cell_edge_keeps_distinct_distances(tmp_pat
     assert d_km[0] == 11.99999999999999 and d_km[-1] == 12.0
 
 
+def test_sweep_density_grid_near_its_lower_bound_keeps_distinct_counts(capsys):
+    """An n-bar-max one ulp above 1 rounds the 30 mean device counts to 2
+    distinct ones; the sweep runs on those 2, in order."""
+    args = ["sweep-density", "--n-bar-max", "1.0000000000000002", "--realizations", "20"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert [row["n_bar"] for row in _rows(out)] == ["1.0", "1.0000000000000002"]
+
+
 def test_sweep_density_csv(capsys):
     code, out, _ = run_cli(
         ["sweep-density", "--seed", "5", "--realizations", "200"], capsys

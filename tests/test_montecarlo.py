@@ -201,13 +201,14 @@ def _density_sums_in_place(n):
 def _distance_sums_in_place(n):
     """Reference for the merge: the raw sums of the distance sweep of
     BLOCK_GRID at seed 3 kept as one running array, which every batch of
-    ``_ring_batches`` adds into in place, in batch order, one point at a
+    ``_ring_batch`` adds into in place, in batch order, one point at a
     time, in the calling process."""
     cfg = NetworkConfig()
     sums = np.zeros((len(BLOCK_GRID), 6))
     scratch = np.empty((3, montecarlo._BATCH))
     pinned = [montecarlo._pinned(cfg, d_km) for d_km in BLOCK_GRID]
-    for rings in montecarlo._ring_batches(cfg, n, 3):
+    for b, size in montecarlo._batches(n):
+        rings = montecarlo._ring_batch(cfg, 3, b, size)
         for i, (gain, ring) in enumerate(pinned):
             fading, powers = rings[ring]
             y = montecarlo._scaled(powers, fading, np.empty((3, fading.size)))
@@ -485,24 +486,29 @@ def test_kernel_memory_bounded_by_chunk():
 
 def test_ring_inter_power_is_the_other_rings_sums_in_ring_order():
     """Each annulus reads its own sub-field's strongest term and sum, and as
-    inter-SF power the other five sub-fields' sums added in annulus order."""
+    inter-SF power the other five sub-fields' sums added in annulus order.
+    Unit (annulus j, batch b) draws the desired fading, then the sub-field,
+    from generator (seed, _TAG_DISTANCE, j, b)."""
     cfg = NetworkConfig()
     intervals = montecarlo._ring_intervals(cfg)
-    for b, rings in enumerate(montecarlo._ring_batches(cfg, 5000, 9)):
-        batch = rings[0][0].size
-        sub = [
-            montecarlo._draw((9, montecarlo._TAG_DISTANCE, j, b), batch, cfg, intervals[j])
-            for j in range(6)
-        ]
+    for b, batch in montecarlo._batches(5000):
+        rings = montecarlo._ring_batch(cfg, 9, b, batch)
+        sub = np.empty((6, 3, batch))
+        for j in range(6):
+            montecarlo._ring_draw(cfg, 9, j, b, sub[j])
+            rng = np.random.default_rng((9, montecarlo._TAG_DISTANCE, j, b))
+            np.testing.assert_array_equal(sub[j, 0], montecarlo._desired_fading(rng, batch))
+            powers = montecarlo._field_powers(rng, batch, cfg.mean_devices, cfg, intervals[j])
+            np.testing.assert_array_equal(sub[j, 1:], powers)
         for k, (fading, (strongest, co, inter)) in enumerate(rings):
-            own_fading, (own_strongest, own_co) = sub[k]
+            own_fading, own_strongest, own_co = sub[k]
             np.testing.assert_array_equal(fading, own_fading)
             np.testing.assert_array_equal(strongest, own_strongest)
             np.testing.assert_array_equal(co, own_co)
             others = np.zeros(batch)
             for j in range(6):
                 if j != k:
-                    others = others + sub[j][1][1]
+                    others = others + sub[j, 2]
             np.testing.assert_array_equal(inter, others)
 
 
@@ -670,6 +676,33 @@ def test_estimate_mean_sir_shares_the_annulus_sub_fields():
         assert near[key].inf_fraction == far[key].inf_fraction
 
 
+@pytest.mark.parametrize("n, threads", [(9000, 1), (4096, 2)])
+def test_estimate_mean_sir_reads_the_sweeps_draws(monkeypatch, n, threads):
+    """The estimate's fraction of infinite SIRs is exactly the share of
+    empty interferer sets in the field powers a one-point sweep at the same
+    distance folds, in every scenario: by batch at one worker, and from the
+    units two workers draw (one batch) at two."""
+    cfg = NetworkConfig()
+    ring = annulus_to_sf(1.0, cfg.cell_radius_km) - SF_MIN
+    fold, recorded = montecarlo._fold, []
+
+    def recording_fold(units):
+        rings = fold(units)
+        recorded.append([power.copy() for power in rings[ring][1]])
+        return rings
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_fold", recording_fold)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+        success_vs_distance(cfg, _distance_spec((1.0,), n=n, seed=21), threads=threads)
+    assert len(recorded) == len(montecarlo._batches(n))
+    stats = estimate_mean_sir(cfg, 1.0, n, 21)
+    assert stats["co"].inf_fraction > 0.0
+    for key, powers in zip(("max_co", "co", "inter"), zip(*recorded)):
+        empty = sum(np.count_nonzero(power == 0.0) for power in powers)
+        assert stats[key].inf_fraction == empty / n
+
+
 @pytest.mark.parametrize(
     "n, seed, message",
     [
@@ -781,7 +814,8 @@ def test_distance_standard_errors_are_the_direct_ones():
     pinned = [montecarlo._pinned(cfg, d_km) for d_km in grid]
     p_snr = [snr_success_probability(d, SF_MIN + ring, cfg) for d, (_, ring) in zip(grid, pinned)]
     columns = [{"p_max_co": [], "p_co": [], "p_sf": [], "p_snr_sf": []} for _ in grid]
-    for rings in montecarlo._ring_batches(cfg, DIRECT_N, 5):
+    for b, size in montecarlo._batches(DIRECT_N):
+        rings = montecarlo._ring_batch(cfg, 5, b, size)
         for point, (gain, ring), snr in zip(columns, pinned, p_snr):
             fading, powers = rings[ring]
             y = montecarlo._scaled(powers, fading, np.empty((3, fading.size)))

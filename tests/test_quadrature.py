@@ -319,7 +319,8 @@ def test_desk_distance_inter_sf_success_within_z_of_oracle():
     grid = default_distance_grid(cfg)
     pinned = [montecarlo._pinned(cfg, d_km) for d_km in grid]
     success = [[] for _ in grid]
-    for rings in montecarlo._ring_batches(cfg, 10_000, 11):
+    for b, size in montecarlo._batches(10_000):
+        rings = montecarlo._ring_batch(cfg, 11, b, size)
         for values, (gain, ring) in zip(success, pinned):
             fading, powers = rings[ring]
             values.append(success_from_sir_array(montecarlo._sirs(powers, gain * fading)[2]))
