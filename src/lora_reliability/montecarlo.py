@@ -35,20 +35,21 @@ batch from them.
 
 Both interference samplers cut their active interferers into chunks of at
 most ``_CHUNK``, at any count, so their memory per worker is bounded
-whatever the mean device count.  The draws are the same at any chunk size.
-:func:`_nested_field_powers` reads each of its generators in order across
-chunks and adds term by term (``ufunc.at``), so its sums are too; its owner
-draws take 32-bit words, whose spare half PCG64 keeps in the bit generator
-between calls.  :func:`_field_powers` folds each chunk per realization with
-``np.add.reduceat``, which does not add a segment left to right, and carries
-a realization cut between two chunks into the next, regrouping its sum at
-the cut.  So the chunk size is part of the distance sweep's byte contract
-where sub-fields span several chunks: at 20000 mean devices, 9000
-realizations and seed 1, a chunk of 4096 changes 2 of the default grid's
-120 CSV rows.  It relies on PCG64's ``advance``
-and on ``Generator.random`` using one 64-bit word per double: its fading
-draws come from a copy of the batch generator advanced past the position
-draws.
+whatever the mean device count.  The draws are the same at any chunk size,
+and the chunk size changes no byte unless one realization holds more than
+``_CHUNK`` terms of one sub-field.  :func:`_nested_field_powers` reads each
+of its generators in order across chunks and adds term by term
+(``ufunc.at``), so its sums never depend on the chunk size; its owner draws
+take 32-bit words, whose spare half PCG64 keeps in the bit generator between
+calls.  :func:`_field_powers` folds each chunk per realization with
+``np.add.reduceat``, which does not add a segment left to right, so it ends
+each chunk between two realizations: a realization's terms lie in one
+segment, whose pairwise sum depends only on its terms.  Only a realization
+longer than ``_CHUNK``, about 10**7 mean devices at 1% duty, is cut inside,
+and its sum is regrouped at the cut.  :func:`_field_powers` relies on
+PCG64's ``advance`` and on ``Generator.random`` using one 64-bit word per
+double: its fading draws come from a copy of the batch generator advanced
+past the position draws.
 
 The kernel works in normalized units.  Every scenario SIR is a ratio of
 received powers ``tx * fading * gain(d)``, and the free-space gain is
@@ -114,6 +115,7 @@ from .params import (
     annulus_to_sf,
     db_to_linear,
     dbm_to_mw,
+    require_active_headroom,
     require_integer,
     sf_table,
 )
@@ -123,14 +125,14 @@ DENSITY_GRID_POINTS = 30
 
 # Fixed batch size: realizations are simulated in vectorized chunks of this
 # many; changing it changes the random streams, so it is part of the
-# reproducibility contract.
+# reproducibility contract.  params.require_active_headroom bounds the mean
+# active interferers so that a batch of this many counts adds up in int64.
 _BATCH = 4096
 
 # Interferers per chunk of the interference kernel: bounds its memory and
-# keeps its working set in cache.  It changes no draw, but it is part of the
-# distance sweep's byte contract at high mean device counts, where the cut
-# regroups a realization's sum (module docstring).  The kernel reads it at
-# call time.
+# keeps its working set in cache.  It changes no draw, and no byte unless one
+# realization holds more than this many terms of one sub-field, whose sum the
+# cut regroups (module docstring).  The kernel reads it at call time.
 _CHUNK = 1 << 15
 
 # Elements per block of the point step: the distance sweep evaluates the
@@ -272,12 +274,17 @@ def _field_powers(
     ``interval = [lo, hi)``.  An interferer at area fraction
     ``v = max(u, (d_min/R)**2)`` contributes ``v**(-eta/2) * fading`` (see
     the module docstring).  It works in chunks of at most ``_CHUNK`` terms at
-    any count, carrying a realization cut between two chunks into the next.
+    any count, each ending at the last realization boundary it holds, so
+    the chunk size changes no sum unless one realization holds more than
+    ``_CHUNK`` terms.  Only such a realization is cut, and carried into the
+    next chunk.
     """
     lo_u, hi_u = interval
     width = hi_u - lo_u
     counts = rng.poisson(cfg.duty_cycle * n_bar * width, size=batch)
-    total = int(counts.sum())
+    # Realization i has terms bounds[i]:bounds[i + 1].
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    total = int(bounds[-1])
 
     # The uniform draws of all interferers come first in ``rng``'s stream
     # and the exponential draws follow, one word per uniform double, so a
@@ -290,28 +297,32 @@ def _field_powers(
     # reduceat misreads empty segments, so it folds the non-empty
     # realizations only, at their (strictly increasing) starts.
     rows = np.flatnonzero(counts)
-    starts = np.cumsum(counts)[rows] - counts[rows]
+    starts = bounds[rows]
     strongest, power = np.zeros(batch), np.zeros(batch)
-    for start in range(0, total, _CHUNK):
-        size = min(_CHUNK, total - start)
-        w = rng.random(size)
+    start = 0
+    while start < total:
+        # The chunk ends at the last realization boundary within _CHUNK terms,
+        # inside a realization only if that one alone is longer.
+        stop = int(bounds[np.searchsorted(bounds, start + _CHUNK, side="right") - 1])
+        if stop <= start:
+            stop = min(start + _CHUNK, total)
+        w = rng.random(stop - start)
         w *= width
         w += lo_u
         if lo_u < v_min:
             np.maximum(w, v_min, out=w)
         w **= exponent
-        w *= fading_rng.standard_exponential(size)
-        # Realizations rows[lo:hi] have terms here; w[0] takes on the running
-        # values of rows[lo], which are 0 unless it began in an earlier chunk.
+        w *= fading_rng.standard_exponential(stop - start)
+        # Realizations rows[lo:hi] have terms here; only rows[lo] can have
+        # terms in an earlier chunk, whose running values it adds.
         lo = int(np.searchsorted(starts, start, side="right")) - 1
-        hi = int(np.searchsorted(starts, start + size))
-        first, segments = rows[lo], starts[lo:hi] - start
+        hi = int(np.searchsorted(starts, stop))
+        at, segments = rows[lo:hi], starts[lo:hi] - start
         segments[0] = 0
-        term = w[0]
-        w[0] = max(term, strongest[first])
-        strongest[rows[lo:hi]] = np.maximum.reduceat(w, segments)
-        w[0] = term + power[first]
-        power[rows[lo:hi]] = np.add.reduceat(w, segments)
+        top, sums = np.maximum.reduceat(w, segments), np.add.reduceat(w, segments)
+        top[0], sums[0] = max(top[0], strongest[at[0]]), sums[0] + power[at[0]]
+        strongest[at], power[at] = top, sums
+        start = stop
     return strongest, power
 
 
@@ -795,6 +806,7 @@ def coverage_vs_density(
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
+    require_active_headroom("n_bar_max", spec.grid[-1], cfg.duty_cycle)
     n = spec.realizations_per_point
     batches = _batches(n)
     workers = _workers(threads, len(batches))

@@ -137,6 +137,7 @@ class NetworkConfig:
             raise ConfigError(f"duty_cycle must be in (0, 1], got {self.duty_cycle}")
         if self.mean_devices < 0:
             raise ConfigError(f"mean_devices must be >= 0, got {self.mean_devices}")
+        require_active_headroom("mean_devices", self.mean_devices, self.duty_cycle)
         if self.cell_radius_km <= 0:
             raise ConfigError(f"cell_radius_km must be > 0, got {self.cell_radius_km}")
         if not 0 < self.min_distance_km < self.cell_radius_km:
@@ -180,6 +181,17 @@ def require_integer(name: str, value: object, low: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def require_active_headroom(name: str, n_bar: float, duty_cycle: float) -> None:
+    """Raise :class:`ConfigError` naming ``name`` if ``duty_cycle * n_bar``,
+    the mean active interferers per realization, exceeds 2**50.  The
+    samplers draw them as int64 Poisson counts and add the counts of a
+    batch of 2**12 realizations, so a batch's total stays within 2**62."""
+    if duty_cycle * n_bar > 2.0**50:
+        raise ConfigError(
+            f"{name} must be at most 2**50 / duty_cycle = {2.0**50 / duty_cycle:g}, got {n_bar:g}"
+        )
 
 
 def dbm_to_mw(x_dbm: float) -> float:

@@ -318,6 +318,17 @@ def test_non_finite_flag_fails_naming_key(args, key, capsys):
     assert key in err
 
 
+def test_sweep_distance_rejects_mean_devices_beyond_int64_headroom(capsys):
+    """At 1e21 mean devices a batch's interferer count wraps in int64; the
+    sweep once drew no interferer and wrote success 1 at every distance."""
+    code, out, err = run_cli(
+        ["sweep-distance", "--mean-devices", "1e21", "--realizations", "100"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "mean_devices" in err
+
+
 def test_sweep_density_rejects_zero_threads(capsys):
     """Both sweeps take --threads from the shared sweep options: zero
     fails naming the flag, and two workers write the bytes of one.  Two

@@ -17,7 +17,7 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.params import SF_MIN, NetworkConfig, annulus_to_sf
+from lora_reliability.params import SF_MIN, ConfigError, NetworkConfig, annulus_to_sf
 from lora_reliability.reference import sample_realization, sir_sample
 
 
@@ -369,18 +369,29 @@ def test_sweeps_reject_threads_below_one(kind, threads):
         sweep(cfg, spec, threads=threads)
 
 
-@pytest.mark.parametrize("chunk", [1, 97])
-def test_output_independent_of_chunk_size(monkeypatch, chunk):
-    """At these sizes the CSV bytes do not depend on the interferers-per-
-    chunk cap.  n_bar = 0 and 1 leave most realizations empty, so empty
-    realizations fall at chunk ends; chunk 1 makes every busy realization
-    its own chunk.  The cap is part of the distance sweep's byte contract at
-    high mean device counts all the same: a realization cut between two
-    chunks has its sum regrouped, and at 20000 mean devices (default grid,
-    9000 realizations, seed 1) a cap of 4096 changes 2 of the 120 rows."""
-    cfg = NetworkConfig()
-    distance = _distance_spec((0.5, 6.0, 11.5), n=5000, seed=5)
-    density = _density_spec((0.0, 1.0, 30.0, 3000.0), n=5000, seed=5)
+@pytest.mark.parametrize(
+    "chunk, mean_devices, distance, density",
+    [
+        (1, 1500.0, _distance_spec((0.5, 6.0, 11.5), n=5000, seed=5), (0.0, 1.0, 30.0, 3000.0)),
+        (97, 1500.0, _distance_spec((0.5, 6.0, 11.5), n=5000, seed=5), (0.0, 1.0, 30.0, 3000.0)),
+        (
+            4096,
+            20000.0,
+            _distance_spec(default_distance_grid(NetworkConfig()), n=9000, seed=1),
+            default_density_grid(),
+        ),
+    ],
+    ids=["1", "97", "4096-at-20000"],
+)
+def test_output_independent_of_chunk_size(monkeypatch, chunk, mean_devices, distance, density):
+    """The CSV bytes do not depend on the interferers-per-chunk cap unless
+    one realization holds more terms of one sub-field than the cap.  n_bar
+    = 0 and 1 leave most realizations empty, so empty realizations fall at
+    chunk ends; chunk 1 makes every busy realization its own chunk or more.
+    At 20000 mean devices the sub-fields of a batch span 6 to 62 chunks of
+    4096, all ended between realizations."""
+    cfg = NetworkConfig(mean_devices=mean_devices)
+    density = _density_spec(density, n=distance.realizations_per_point, seed=distance.seed)
 
     def csvs():
         return (
@@ -408,39 +419,65 @@ def test_output_independent_of_block_size(monkeypatch, block, threads):
     assert csv == default_csv
 
 
+def test_density_grid_bounded_by_int64_headroom():
+    """A batch adds its interferer counts in int64, so the grid's largest
+    mean device count gives at most 2**50 active interferers per
+    realization; at 1e21 the count once failed inside numpy, naming no key."""
+    with pytest.raises(ConfigError, match="n_bar_max must be at most 2\\*\\*50"):
+        coverage_vs_density(NetworkConfig(), _density_spec((1.0, 1e21), n=100))
+
+
 def _sampler_arrays(batch):
-    """One batch of each annulus's sub-field at n_bar = 1500 and 20000, and
-    the nested whole-cell fields at the same two counts with desired devices
-    in all six annuli, copied at every step."""
+    """One batch of each annulus's sub-field at n_bar = 1500 and 20000, with
+    each realization's term count, and the nested whole-cell fields at the
+    same two counts with desired devices in all six annuli, copied at every
+    step."""
     cfg = NetworkConfig()
-    sub_fields = [
-        montecarlo._field_powers(np.random.default_rng([9, k]), batch, n_bar, cfg, interval)
-        for n_bar in (1500.0, 20000.0)
-        for k, interval in enumerate(montecarlo._ring_intervals(cfg))
-    ]
+    sub_fields = []
+    for n_bar in (1500.0, 20000.0):
+        for k, (lo, hi) in enumerate(montecarlo._ring_intervals(cfg)):
+            # The sampler's first draw is the counts.
+            counts = np.random.default_rng([9, k]).poisson(
+                cfg.duty_cycle * n_bar * (hi - lo), size=batch
+            )
+            rng = np.random.default_rng([9, k])
+            sub_fields.append((counts, montecarlo._field_powers(rng, batch, n_bar, cfg, (lo, hi))))
     draws = tuple(np.random.default_rng([9, 6, j]) for j in range(3))
     steps = montecarlo._nested_field_powers(draws, np.arange(batch) % 6, (1500.0, 18500.0), cfg)
     return sub_fields, [tuple(a.copy() for a in powers) for powers in steps]
 
 
 @pytest.mark.parametrize(
-    "chunk, batch", [(1, 64), (97, 4096), (montecarlo._CHUNK, 4096)], ids=["1", "97", "default"]
+    "chunk, batch",
+    [(1, 64), (64, 4096), (97, 4096), (montecarlo._CHUNK, 4096)],
+    ids=["1", "64", "97", "default"],
 )
 def test_sampler_arrays_independent_of_chunk_size(monkeypatch, chunk, batch):
     """The CSV's rounding can hide a last-bit drift of the sums at every cut,
     so the samplers' arrays are compared with a run cut nowhere.  The
     density sampler adds term by term, so its arrays are exact.  The
-    distance sampler keeps its strongest terms exactly and regroups a sum
-    cut between two chunks, which moves it by a few ulp at most.  Chunk 1
-    cuts at every term, so its batch is small; the default cuts the
-    20000-device fields of a full batch."""
+    distance sampler keeps its strongest terms exactly, and its sums
+    exactly for every realization that fits a chunk, since chunks end
+    between realizations.  It regroups the sum of a realization longer than
+    the chunk at each cut, which moves it by a few ulp at most.  Chunk 1
+    cuts every realization of two terms or more, so its batch is small;
+    chunk 64 cuts some of the outer 20000-device realizations and not
+    others; 97 and the default cut the 20000-device fields of a full batch
+    between realizations only."""
     monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 40)
     ref_sub_fields, ref_steps = _sampler_arrays(batch)
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     sub_fields, steps = _sampler_arrays(batch)
-    for (strongest, power), (ref_strongest, ref_power) in zip(sub_fields, ref_sub_fields):
+    cut = 0
+    for (counts, (strongest, power)), (_, (ref_strongest, ref_power)) in zip(
+        sub_fields, ref_sub_fields
+    ):
         np.testing.assert_array_equal(strongest, ref_strongest)
-        np.testing.assert_allclose(power, ref_power, rtol=1e-13, atol=0.0)
+        fits = counts <= chunk
+        np.testing.assert_array_equal(power[fits], ref_power[fits])
+        np.testing.assert_allclose(power[~fits], ref_power[~fits], rtol=1e-13, atol=0.0)
+        cut += np.count_nonzero(~fits)
+    assert (cut > 0) == (chunk < 97)
     for powers, ref_powers in zip(steps, ref_steps, strict=True):
         for got, want in zip(powers, ref_powers):
             np.testing.assert_array_equal(got, want)

@@ -126,6 +126,7 @@ def test_defaults_match_reference_table():
         {"duty_cycle": 0.0},
         {"duty_cycle": 1.5},
         {"mean_devices": -1.0},
+        {"mean_devices": 1e21},  # a batch's int64 interferer count would wrap
         {"cell_radius_km": 0.0},
         {"min_distance_km": 0.0},
         {"min_distance_km": 12.0},
@@ -145,6 +146,14 @@ def test_invalid_config_rejected(kwargs):
     (key,) = kwargs
     with pytest.raises(ConfigError, match=key):
         NetworkConfig(**kwargs)
+
+
+def test_mean_devices_bounded_by_int64_headroom():
+    """The sweeps add a batch of 2**12 realizations' interferer counts in
+    int64, so duty_cycle * mean_devices may be at most 2**50."""
+    NetworkConfig(duty_cycle=1.0, mean_devices=2.0**50)
+    with pytest.raises(ConfigError, match="mean_devices must be at most 2\\*\\*50"):
+        NetworkConfig(duty_cycle=1.0, mean_devices=math.nextafter(2.0**50, math.inf))
 
 
 @pytest.mark.parametrize(
