@@ -94,12 +94,11 @@ def outage_numeric_oracle(gamma_bar: float, rel_tol: float = 1e-8) -> float:
     It must agree with :func:`outage_closed_form`, and is kept deliberately
     independent of it so it can serve as its cross-check.
     """
-    from scipy import integrate
-
-    if gamma_bar <= 0:
-        raise ValueError(f"mean SIR must be > 0, got {gamma_bar}")
+    if not (math.isfinite(gamma_bar) and gamma_bar > 0):
+        raise ValueError(f"mean SIR must be finite and > 0, got {gamma_bar}")
     if not 0 < rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
+    from scipy import integrate
 
     # Substitute a = gamma_bar * u so the integrand decays like exp(-u)
     # regardless of gamma_bar's magnitude.

@@ -13,6 +13,7 @@ from .params import (
     db_to_linear,
     dbm_to_mw,
     noise_floor_dbm,
+    require_in_cell,
     sf_params,
     wavelength_m,
 )
@@ -64,11 +65,9 @@ def snr_success_probability(d_km: float, sf: int, cfg: NetworkConfig) -> float:
     """Closed-form probability that a frame at distance ``d_km`` using ``sf``
     survives noise alone (no interference): under unit-mean exponential
     fading, P[power * fading * gain / noise >= theta] is
-    exp(-noise * theta / (power * gain))."""
-    if not 0 < d_km <= cfg.cell_radius_km:
-        raise ValueError(
-            f"distance {d_km} km outside cell (0, {cfg.cell_radius_km}] km"
-        )
+    exp(-noise * theta / (power * gain)).  ``d_km`` must lie in the cell
+    (:func:`params.require_in_cell`)."""
+    require_in_cell(d_km, cfg)
     model = ChannelModel.from_config(cfg)
     theta = db_to_linear(sf_params(sf).snr_threshold_db)
     gain = path_loss(d_km, model)

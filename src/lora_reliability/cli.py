@@ -144,11 +144,13 @@ def _check_sf_schedule() -> tuple[bool, str]:
 def _check_saw_tooth(cfg: NetworkConfig) -> tuple[bool, str]:
     # A success of exactly 0 or 1 on both sides (a deaf or a noiseless
     # link) cannot jump, so only there is a level value excused; a drop
-    # fails anywhere.
+    # fails anywhere.  A boundary is probed only if its probe below lies in
+    # the cell; the probe above the outermost one, 5R/6, always does.
     r = cfg.cell_radius_km
+    boundaries = [k * r / 6.0 for k in range(1, 6)]
+    boundaries = [b for b in boundaries if b * (1.0 - 1e-9) >= cfg.min_distance_km]
     saturated = []
-    for k in range(1, 6):
-        boundary = k * r / 6.0
+    for boundary in boundaries:
         below = boundary * (1.0 - 1e-9)
         above = boundary * (1.0 + 1e-9)
         p_below = snr_success_probability(below, annulus_to_sf(below, r), cfg)
@@ -157,11 +159,14 @@ def _check_saw_tooth(cfg: NetworkConfig) -> tuple[bool, str]:
             saturated.append(f"{boundary} km (at {p_below:g})")
         elif p_above <= p_below:
             return False, f"no upward jump at annulus boundary {boundary} km"
+    n = len(boundaries)
+    if not n:
+        return True, "no annulus boundary lies in the cell"
     if not saturated:
-        return True, "noise-only success jumps upward at all 5 annulus boundaries"
+        return True, f"noise-only success jumps upward at all {n} annulus boundaries in the cell"
     return True, (
-        f"noise-only success jumps upward at {5 - len(saturated)} of 5 annulus "
-        f"boundaries and is saturated at {', '.join(saturated)}"
+        f"noise-only success jumps upward at {n - len(saturated)} of {n} annulus "
+        f"boundaries in the cell and is saturated at {', '.join(saturated)}"
     )
 
 

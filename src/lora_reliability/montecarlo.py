@@ -111,11 +111,11 @@ from .params import (
     CO_CHANNEL_REJECTION,
     SF_MIN,
     NetworkConfig,
-    OutOfCellError,
     annulus_to_sf,
     db_to_linear,
     dbm_to_mw,
     require_active_headroom,
+    require_in_cell,
     require_integer,
     sf_table,
 )
@@ -158,7 +158,7 @@ _RING_U.flags.writeable = False
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep: the abscissa grid, per-point realization count and
-    seed."""
+    seed.  Each sweep checks the grid against its own abscissa's range."""
 
     kind: str  # "distance" | "density"
     grid: tuple[float, ...]
@@ -175,11 +175,6 @@ class SweepSpec:
             raise ValueError(f"grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        low = self.grid[0]
-        if self.kind == "distance" and low <= 0:
-            raise ValueError(f"distance grid must be positive, got {low}")
-        if self.kind == "density" and low < 0:
-            raise ValueError(f"density grid must be non-negative, got {low}")
         require_integer("realizations_per_point", self.realizations_per_point, 1)
         require_integer("seed", self.seed, 0)
 
@@ -219,8 +214,7 @@ def default_distance_grid(
     0.1 km, at the larger of ``min_distance_km`` and ``R / points``.  A start
     within a few ulps of the edge rounds some distances together; each
     distinct one is kept once, so the grid may hold fewer than ``points``."""
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
+    require_integer("points", points, 1)
     radius = cfg.cell_radius_km
     start = max(cfg.min_distance_km, 0.1 if radius > 0.1 else radius / points)
     return tuple(float(x) for x in np.unique(np.linspace(start, radius, points)))
@@ -232,8 +226,7 @@ def default_density_grid(
     """Log-spaced mean device counts from 1 to ``n_bar_max`` inclusive.  An
     ``n_bar_max`` within a few ulps of 1 rounds some counts together; each
     distinct one is kept once, so the grid may hold fewer than ``points``."""
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
+    require_integer("points", points, 2)
     if not (math.isfinite(n_bar_max) and n_bar_max > 1):
         raise ValueError(f"n_bar_max must be finite and > 1, got {n_bar_max}")
     grid = np.geomspace(1.0, n_bar_max, points)
@@ -562,12 +555,8 @@ def _curve_point(
 
 def _pinned(cfg: NetworkConfig, d_km: float) -> tuple[float, int]:
     """Normalized gain ``(d/R)**(-eta)`` and annulus index of a desired
-    device pinned at ``d_km``."""
-    if not cfg.min_distance_km <= d_km <= cfg.cell_radius_km:
-        raise OutOfCellError(
-            f"desired distance {d_km} km outside "
-            f"[{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
-        )
+    device pinned at ``d_km``, which must lie in the cell."""
+    require_in_cell(d_km, cfg)
     gain = (d_km / cfg.cell_radius_km) ** -cfg.path_loss_exponent
     return gain, annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
 
@@ -806,6 +795,8 @@ def coverage_vs_density(
     """
     if spec.kind != "density":
         raise ValueError(f"spec.kind must be 'density', got {spec.kind!r}")
+    if spec.grid[0] < 0:
+        raise ValueError(f"density grid must be non-negative, got {spec.grid[0]}")
     require_active_headroom("n_bar_max", spec.grid[-1], cfg.duty_cycle)
     n = spec.realizations_per_point
     batches = _batches(n)

@@ -56,13 +56,16 @@ def sf_table() -> list[SfParams]:
 
 def sf_params(sf: int) -> SfParams:
     """Return the schedule row for one spreading factor."""
-    if not SF_MIN <= sf <= SF_MAX:
+    require_integer("sf", sf, SF_MIN)
+    if sf > SF_MAX:
         raise ValueError(f"spreading factor must be in {SF_MIN}..{SF_MAX}, got {sf}")
     return _SF_TABLE[sf - SF_MIN]
 
 
 class OutOfCellError(ValueError):
-    """Distance outside the [0, R] cell range."""
+    """Distance outside the cell ``[min_distance_km, cell_radius_km]``
+    (:func:`require_in_cell`), or, in :func:`annulus_to_sf`, which reads no
+    config, outside ``[0, cell_radius_km]``."""
 
 
 def annulus_to_sf(distance_km: float, cell_radius_km: float) -> int:
@@ -123,6 +126,8 @@ class NetworkConfig:
                 raise ConfigError(
                     f"{f.name} must be finite, got an int beyond the doubles"
                 ) from None
+            except TypeError:
+                raise ConfigError(f"{f.name} must be a real number, got {value!r}") from None
             if not finite:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.bandwidth_hz <= 0:
@@ -181,6 +186,16 @@ def require_integer(name: str, value: object, low: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def require_in_cell(d_km: float, cfg: NetworkConfig) -> None:
+    """Raise :class:`OutOfCellError` unless ``d_km`` lies in the cell
+    ``[min_distance_km, cell_radius_km]``, the range the sweeps draw their
+    distances from: the one check of a distance against a config."""
+    if not cfg.min_distance_km <= d_km <= cfg.cell_radius_km:
+        raise OutOfCellError(
+            f"distance {d_km} km outside [{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
+        )
 
 
 def require_active_headroom(name: str, n_bar: float, duty_cycle: float) -> None:

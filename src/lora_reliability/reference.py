@@ -28,10 +28,11 @@ from .params import (
     CO_CHANNEL_REJECTION,
     ConfigError,
     NetworkConfig,
-    OutOfCellError,
     annulus_to_sf,
     db_to_linear,
     dbm_to_mw,
+    require_in_cell,
+    require_integer,
     sf_params,
 )
 
@@ -88,12 +89,8 @@ def snr_success_empirical(
 ) -> float:
     """Monte Carlo estimate of :func:`channel.snr_success_probability` from
     ``n`` fading draws; converges to the closed form as n grows."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    if not 0 < d_km <= cfg.cell_radius_km:
-        raise ValueError(
-            f"distance {d_km} km outside cell (0, {cfg.cell_radius_km}] km"
-        )
+    require_integer("n", n, 1)
+    require_in_cell(d_km, cfg)
     model = ChannelModel.from_config(cfg)
     theta = db_to_linear(sf_params(sf).snr_threshold_db)
     # SNR >= theta  <=>  fading >= noise * theta / (power * gain)
@@ -122,11 +119,7 @@ def sample_realization(
     uniformly by area, and each is active independently with probability
     ``duty_cycle``.
     """
-    if not cfg.min_distance_km <= desired_distance_km <= cfg.cell_radius_km:
-        raise OutOfCellError(
-            f"desired distance {desired_distance_km} km outside "
-            f"[{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
-        )
+    require_in_cell(desired_distance_km, cfg)
     tx_mw = dbm_to_mw(cfg.tx_power_dbm)
     desired = EndDevice(
         position=Position(desired_distance_km, 0.0),

@@ -103,6 +103,9 @@ def test_quadrature_matches_closed_form():
 def test_quadrature_validates_inputs():
     with pytest.raises(ValueError):
         outage_numeric_oracle(0.0)
+    for gamma_bar in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mean SIR must be finite and > 0"):
+            outage_numeric_oracle(gamma_bar)
     with pytest.raises(ValueError):
         outage_numeric_oracle(1.0, rel_tol=0.0)
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from lora_reliability.channel import (
     path_loss_array,
     snr_success_probability,
 )
-from lora_reliability.params import NetworkConfig, annulus_to_sf
+from lora_reliability.params import NetworkConfig, OutOfCellError, annulus_to_sf
 from lora_reliability.reference import sample_fading, snr_success_empirical
 
 
@@ -123,6 +123,20 @@ def test_snr_success_validates_inputs():
         snr_success_probability(13.0, 7, cfg)
     with pytest.raises(ValueError):
         snr_success_probability(1.0, 6, cfg)
+    for sf in (7.0, True):
+        with pytest.raises(ValueError, match="sf must be an integer"):
+            snr_success_probability(1.0, sf, cfg)
+
+
+def test_noise_only_success_rejects_distance_inside_the_clamp():
+    """The closed form and its empirical estimate take the sweeps' cell,
+    [min_distance_km, R]: 0.5 m lies inside the 1 m clamp, which no sweep
+    draws."""
+    cfg = NetworkConfig()
+    with pytest.raises(OutOfCellError, match=r"distance 0.0005 km outside \[0.001, 12.0\] km"):
+        snr_success_probability(0.0005, 7, cfg)
+    with pytest.raises(OutOfCellError, match=r"outside \[0.001, 12.0\] km"):
+        snr_success_empirical(0.0005, 7, cfg, np.random.default_rng(0), 10)
 
 
 def test_snr_success_monotone_within_annulus():
@@ -176,3 +190,6 @@ def test_empirical_validates_n():
     cfg = NetworkConfig()
     with pytest.raises(ValueError):
         snr_success_empirical(1.0, 7, cfg, np.random.default_rng(0), 0)
+    for n in (True, 2.5):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            snr_success_empirical(1.0, 7, cfg, np.random.default_rng(0), n)

@@ -48,6 +48,14 @@ def test_closed_form_distance(capsys):
     assert float(fields["p_snr"]) == pytest.approx(0.987156, abs=1e-6)
 
 
+def test_closed_form_distance_outside_the_cell_fails_naming_the_range(capsys):
+    """0.5 m lies inside the 1 m clamp, outside the cell the sweeps draw."""
+    code, out, err = run_cli(["closed-form", "--distance", "0.0005", "--sf", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "distance 0.0005 km outside [0.001, 12.0] km" in err
+
+
 def test_closed_form_requires_exactly_one_form(capsys):
     code, _, _ = run_cli(["closed-form"], capsys)
     assert code != 0
@@ -448,6 +456,27 @@ def test_validate_passes_saturated_noise_only_success(setting, level, tmp_path, 
     assert saw_tooth.startswith("PASS")
     assert "upward at 0 of 5" in saw_tooth
     assert saw_tooth.count(f"(at {level})") == 5
+
+
+@pytest.mark.parametrize(
+    "min_distance_km, detail",
+    [
+        ("2.5", "noise-only success jumps upward at all 4 annulus boundaries in the cell"),
+        ("11", "no annulus boundary lies in the cell"),
+    ],
+)
+def test_validate_probes_only_boundaries_in_a_clamped_cell(
+    min_distance_km, detail, tmp_path, capsys
+):
+    """A cell clamped at 2.5 km holds four of the five annulus boundaries,
+    and one clamped at 11 km none: the saw-tooth check probes those in the
+    cell and names their count."""
+    cfg_path = tmp_path / "net.cfg"
+    cfg_path.write_text(f"min_distance_km = {min_distance_km}\n")
+    code, out, _ = run_cli(["validate", "--config", str(cfg_path)], capsys)
+    assert code == 0, out
+    saw_tooth = next(line for line in out.splitlines() if "annulus saw-tooth" in line)
+    assert saw_tooth == f"PASS annulus saw-tooth: {detail}"
 
 
 @pytest.mark.parametrize(

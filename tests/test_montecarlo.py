@@ -17,7 +17,13 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.params import SF_MIN, ConfigError, NetworkConfig, annulus_to_sf
+from lora_reliability.params import (
+    SF_MIN,
+    ConfigError,
+    NetworkConfig,
+    OutOfCellError,
+    annulus_to_sf,
+)
 from lora_reliability.reference import sample_realization, sir_sample
 
 
@@ -84,6 +90,31 @@ def test_distance_grid_outside_cell_rejected():
         success_vs_distance(cfg, _distance_spec((1.0, 13.0), n=10))
 
 
+@pytest.mark.parametrize(
+    "kind, grid, error, message",
+    [
+        ("distance", (0.0, 1.0), OutOfCellError, r"distance 0.0 km outside \[0.001, 12.0\] km"),
+        ("distance", (-1.0, 1.0), OutOfCellError, r"distance -1.0 km outside"),
+        ("density", (-1.0, 10.0), ValueError, "density grid must be non-negative, got -1.0"),
+    ],
+    ids=["distance-zero", "distance-negative", "density-negative"],
+)
+def test_sweep_rejects_grid_sign_before_any_fork_or_draw(monkeypatch, kind, grid, error, message):
+    """SweepSpec takes a grid of either sign; the sweep checks it against its
+    abscissa's range before it draws or forks anything."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the sweep drew or forked before checking its grid")
+
+    for name in ("_ring_batch", "_ring_draw", "_density_batch"):
+        monkeypatch.setattr(montecarlo, name, fail)
+    monkeypatch.setattr(os, "fork", fail)
+    sweep = success_vs_distance if kind == "distance" else coverage_vs_density
+    spec = SweepSpec(kind=kind, grid=grid, realizations_per_point=3 * 4096, seed=1)
+    with pytest.raises(error, match=message):
+        sweep(NetworkConfig(), spec, threads=2)
+
+
 def test_default_grids():
     cfg = NetworkConfig()
     grid = default_distance_grid(cfg)
@@ -100,7 +131,11 @@ def test_default_grids():
 # A density grid runs from 1 to n_bar_max, so it needs two points.
 @pytest.mark.parametrize(
     "kind, points",
-    [("distance", 0), ("distance", -1), ("density", 0), ("density", -1), ("density", 1)],
+    [
+        ("distance", 0), ("distance", -1), ("density", 0), ("density", -1), ("density", 1),
+        # Counts are integers: a bool or a float is rejected naming the argument.
+        ("distance", True), ("distance", 2.5), ("density", True), ("density", 2.5),
+    ],
 )
 def test_default_grids_reject_points_below_one(kind, points):
     with pytest.raises(ValueError, match="points"):

@@ -175,6 +175,12 @@ def test_config_rejects_non_integer_seed_and_numpy_non_finite(kwargs, message):
         NetworkConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", ["1500", None, 0.01 + 0j], ids=["str", "none", "complex"])
+def test_config_rejects_non_real_field_naming_it(value):
+    with pytest.raises(ConfigError, match="mean_devices must be a real number, got "):
+        NetworkConfig(mean_devices=value)
+
+
 def test_config_accepts_numpy_integer_seed():
     assert NetworkConfig(seed=np.int64(5)).seed == 5
 
