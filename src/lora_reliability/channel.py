@@ -4,7 +4,7 @@ probability that a frame survives noise alone under Rayleigh fading."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from .params import (
     dbm_to_mw,
     noise_floor_dbm,
     require_in_cell,
+    require_real,
     sf_params,
     wavelength_m,
 )
@@ -21,21 +22,19 @@ from .params import (
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Linear-domain channel constants used by the power computations."""
+    """Linear-domain channel constants used by the power computations, each
+    a positive real (:func:`params.require_real`), stored as a float."""
 
     wavelength_m: float
     path_loss_exponent: float
     noise_mw: float
 
     def __post_init__(self) -> None:
-        if self.wavelength_m <= 0:
-            raise ValueError(f"wavelength_m must be > 0, got {self.wavelength_m}")
-        if self.path_loss_exponent <= 0:
-            raise ValueError(
-                f"path_loss_exponent must be > 0, got {self.path_loss_exponent}"
-            )
-        if self.noise_mw <= 0:
-            raise ValueError(f"noise_mw must be > 0, got {self.noise_mw}")
+        for f in fields(self):
+            value = require_real(f.name, getattr(self, f.name))
+            if value <= 0:
+                raise ValueError(f"{f.name} must be > 0, got {value}")
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def from_config(cls, cfg: NetworkConfig) -> "ChannelModel":
@@ -67,7 +66,7 @@ def snr_success_probability(d_km: float, sf: int, cfg: NetworkConfig) -> float:
     fading, P[power * fading * gain / noise >= theta] is
     exp(-noise * theta / (power * gain)).  ``d_km`` must lie in the cell
     (:func:`params.require_in_cell`)."""
-    require_in_cell(d_km, cfg)
+    d_km = require_in_cell(d_km, cfg)
     model = ChannelModel.from_config(cfg)
     theta = db_to_linear(sf_params(sf).snr_threshold_db)
     gain = path_loss(d_km, model)

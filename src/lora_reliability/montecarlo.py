@@ -117,6 +117,7 @@ from .params import (
     require_active_headroom,
     require_in_cell,
     require_integer,
+    require_real,
     sf_table,
 )
 
@@ -158,7 +159,8 @@ _RING_U.flags.writeable = False
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep: the abscissa grid, per-point realization count and
-    seed.  Each sweep checks the grid against its own abscissa's range."""
+    seed.  The grid holds floats (:func:`params.require_real`); each sweep
+    checks it against its own abscissa's range."""
 
     kind: str  # "distance" | "density"
     grid: tuple[float, ...]
@@ -166,13 +168,11 @@ class SweepSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
+        object.__setattr__(self, "grid", tuple(require_real("grid", x) for x in self.grid))
         if self.kind not in ("distance", "density"):
             raise ValueError(f"kind must be 'distance' or 'density', got {self.kind!r}")
         if not self.grid:
             raise ValueError("grid must not be empty")
-        if not all(math.isfinite(x) for x in self.grid):
-            raise ValueError(f"grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
         require_integer("realizations_per_point", self.realizations_per_point, 1)
@@ -227,10 +227,12 @@ def default_density_grid(
     ``n_bar_max`` within a few ulps of 1 rounds some counts together; each
     distinct one is kept once, so the grid may hold fewer than ``points``."""
     require_integer("points", points, 2)
-    if not (math.isfinite(n_bar_max) and n_bar_max > 1):
-        raise ValueError(f"n_bar_max must be finite and > 1, got {n_bar_max}")
-    grid = np.geomspace(1.0, n_bar_max, points)
-    grid[0], grid[-1] = 1.0, float(n_bar_max)
+    if (n_bar_max := require_real("n_bar_max", n_bar_max)) <= 1:
+        raise ValueError(f"n_bar_max must be > 1, got {n_bar_max}")
+    # Near the largest double the last power may overflow; it is set below.
+    with np.errstate(over="ignore"):
+        grid = np.geomspace(1.0, n_bar_max, points)
+    grid[0], grid[-1] = 1.0, n_bar_max
     return tuple(float(x) for x in np.unique(grid))
 
 
@@ -556,7 +558,7 @@ def _curve_point(
 def _pinned(cfg: NetworkConfig, d_km: float) -> tuple[float, int]:
     """Normalized gain ``(d/R)**(-eta)`` and annulus index of a desired
     device pinned at ``d_km``, which must lie in the cell."""
-    require_in_cell(d_km, cfg)
+    d_km = require_in_cell(d_km, cfg)
     gain = (d_km / cfg.cell_radius_km) ** -cfg.path_loss_exponent
     return gain, annulus_to_sf(d_km, cfg.cell_radius_km) - SF_MIN
 

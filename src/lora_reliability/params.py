@@ -77,6 +77,8 @@ def annulus_to_sf(distance_km: float, cell_radius_km: float) -> int:
     the distance, compared as computed: ``int(6*d/R)`` alone rounds some
     starts into the inner ring (``R = 0.7``, ``k = 3``).
     """
+    distance_km = require_real("distance_km", distance_km)
+    cell_radius_km = require_real("cell_radius_km", cell_radius_km)
     if not 0 <= distance_km <= cell_radius_km:
         raise OutOfCellError(
             f"distance {distance_km} km outside cell [0, {cell_radius_km}] km"
@@ -97,7 +99,9 @@ class NetworkConfig:
 
     Defaults describe the reference EU868 deployment: one 125 kHz channel at
     868.10 MHz, 19 dBm transmit power, 1% duty cycle, a 12 km cell split into
-    six equal-width SF annuli, and an average of 1500 end devices.
+    six equal-width SF annuli, and an average of 1500 end devices.  Every
+    field but ``seed`` takes a real number (:func:`require_real`) and stores
+    it as a Python float.
     """
 
     bandwidth_hz: float = 125_000.0
@@ -117,23 +121,11 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         require_integer("seed", self.seed, 0)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "seed":
-                continue
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ConfigError(
-                    f"{f.name} must be finite, got an int beyond the doubles"
-                ) from None
-            except TypeError:
-                raise ConfigError(f"{f.name} must be a real number, got {value!r}") from None
-            if not finite:
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if self.carrier_hz <= 0:
-            raise ConfigError(f"carrier_hz must be > 0, got {self.carrier_hz}")
+            if f.name != "seed":
+                object.__setattr__(self, f.name, require_real(f.name, getattr(self, f.name)))
+        for key in ("bandwidth_hz", "carrier_hz", "cell_radius_km"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.path_loss_exponent <= 2:
             raise ConfigError(
                 f"path_loss_exponent must be > 2, got {self.path_loss_exponent}"
@@ -143,8 +135,6 @@ class NetworkConfig:
         if self.mean_devices < 0:
             raise ConfigError(f"mean_devices must be >= 0, got {self.mean_devices}")
         require_active_headroom("mean_devices", self.mean_devices, self.duty_cycle)
-        if self.cell_radius_km <= 0:
-            raise ConfigError(f"cell_radius_km must be > 0, got {self.cell_radius_km}")
         if not 0 < self.min_distance_km < self.cell_radius_km:
             raise ConfigError(
                 "min_distance_km must satisfy 0 < min_distance_km < cell_radius_km, "
@@ -188,14 +178,34 @@ def require_integer(name: str, value: object, low: int) -> None:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-def require_in_cell(d_km: float, cfg: NetworkConfig) -> None:
-    """Raise :class:`OutOfCellError` unless ``d_km`` lies in the cell
+def require_real(name: str, value: object) -> float:
+    """Return ``value`` as a Python float, or raise :class:`ConfigError`
+    naming ``name`` unless it is a finite real number, Python's or numpy's
+    but not a bool: the one rule for every real argument and field."""
+    # float first: isinstance then skips the slower numbers.Real check.
+    if not isinstance(value, (float, numbers.Real)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int or fraction past the largest double
+        kind = "an int" if isinstance(value, int) else "a number"
+        raise ConfigError(f"{name} must be finite, got {kind} beyond the doubles") from None
+    if not math.isfinite(real):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return real
+
+
+def require_in_cell(d_km: object, cfg: NetworkConfig) -> float:
+    """Return ``d_km`` as a float (:func:`require_real`), or raise
+    :class:`OutOfCellError` unless it lies in the cell
     ``[min_distance_km, cell_radius_km]``, the range the sweeps draw their
     distances from: the one check of a distance against a config."""
+    d_km = require_real("d_km", d_km)
     if not cfg.min_distance_km <= d_km <= cfg.cell_radius_km:
         raise OutOfCellError(
             f"distance {d_km} km outside [{cfg.min_distance_km}, {cfg.cell_radius_km}] km"
         )
+    return d_km
 
 
 def require_active_headroom(name: str, n_bar: float, duty_cycle: float) -> None:

@@ -90,7 +90,7 @@ def snr_success_empirical(
     """Monte Carlo estimate of :func:`channel.snr_success_probability` from
     ``n`` fading draws; converges to the closed form as n grows."""
     require_integer("n", n, 1)
-    require_in_cell(d_km, cfg)
+    d_km = require_in_cell(d_km, cfg)
     model = ChannelModel.from_config(cfg)
     theta = db_to_linear(sf_params(sf).snr_threshold_db)
     # SNR >= theta  <=>  fading >= noise * theta / (power * gain)
@@ -119,7 +119,7 @@ def sample_realization(
     uniformly by area, and each is active independently with probability
     ``duty_cycle``.
     """
-    require_in_cell(desired_distance_km, cfg)
+    desired_distance_km = require_in_cell(desired_distance_km, cfg)
     tx_mw = dbm_to_mw(cfg.tx_power_dbm)
     desired = EndDevice(
         position=Position(desired_distance_km, 0.0),
