@@ -48,9 +48,12 @@ class ChannelModel:
 def path_loss(d_km: float, model: ChannelModel) -> float:
     """Free-space power gain ``(lambda / (4*pi*d))**eta`` (dimensionless, in
     (0, 1] beyond d = lambda/4pi)."""
-    if d_km <= 0:
+    if (d_km := require_real("d_km", d_km)) <= 0:
         raise ValueError(f"distance must be > 0 km, got {d_km}")
-    return path_loss_array(d_km, model)
+    try:
+        return path_loss_array(d_km, model)
+    except OverflowError:  # a distance so small that the gain passes the doubles
+        raise ValueError(f"path gain at d_km = {d_km} overflows the doubles") from None
 
 
 def path_loss_array(d_km: np.ndarray, model: ChannelModel) -> np.ndarray:

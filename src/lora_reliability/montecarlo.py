@@ -29,9 +29,9 @@ interference columns never rise with ``n_bar``.  Both sweeps run on the
 same workers (:func:`_forked`), the calling process and forked children,
 which write each batch's raw sums into that batch's row of shared memory
 (:func:`_shared`); the calling process adds the rows in batch order.  Where
-the distance sweep has fewer batches than workers, the workers first only
-draw its units into shared memory, and the calling process then runs every
-batch from them.
+the distance sweep has fewer batches than workers, a pool of as many threads
+first only draws its units, each into its own slice of one array, and the
+calling process then runs every batch from them without forking.
 
 Both interference samplers cut their active interferers into chunks of at
 most ``_CHUNK``, at any count, so their memory per worker is bounded
@@ -599,9 +599,11 @@ def _density_batch(
 
 
 def _workers(threads: int, units: int) -> int:
-    """How many workers run ``units`` units of work (:func:`_forked`):
-    ``threads``, but at most ``units`` and the CPUs this process may run
-    on, and 1 where the platform has no ``os.fork``."""
+    """How many workers run ``units`` units of work, forked processes
+    (:func:`_forked`) or the distance sweep's drawing threads
+    (:func:`success_vs_distance`): ``threads``, but at most ``units`` and
+    the CPUs this process may run on, and 1 where the platform has no
+    ``os.fork``."""
     require_integer("threads", threads, 1)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -691,14 +693,16 @@ def success_vs_distance(
     (:func:`_workers`, :func:`_forked`).  Worker ``w`` draws, folds
     (:func:`_fold`) and evaluates batches ``w, w + W, ...``, each into its
     own zero-filled row of shared memory (:func:`_shared`).  With fewer
-    batches than workers, the workers first only draw the units
-    (:func:`_ring_draw`), each to the least-loaded worker by annulus area,
-    into shared memory, and the same loop then runs in the calling process
-    alone, folding the drawn units instead of drawing them.  The calling
-    process adds the rows in batch order, so the bytes are the same at any
-    ``threads``.  A fork copies only the calling thread, so while the sweep
-    runs no other thread of the caller may hold a lock the sweep needs;
-    ``threads=1`` never forks.
+    batches than workers, a pool of ``W`` threads first only draws the
+    units (:func:`_ring_draw`), outer annuli first, each into its own slice
+    of one array, since numpy releases the interpreter lock in most of a
+    draw; the pool is joined, and the same loop then runs in the calling
+    process alone, folding the drawn units instead of drawing them, and
+    forks nothing.  The calling process adds the rows in batch order, so
+    the bytes are the same at any ``threads``.  A fork copies only the
+    calling thread, so while a sweep of at least ``W`` batches runs no other
+    thread of the caller may hold a lock the sweep needs; ``threads=1``
+    never forks.
     """
     if spec.kind != "distance":
         raise ValueError(f"spec.kind must be 'distance', got {spec.kind!r}")
@@ -716,24 +720,14 @@ def success_vs_distance(
     rows = _shared(len(batches), len(pinned), 6)
     drawn = None
     if len(batches) < workers:
-        # Outer annuli first, each (annulus, batch) unit to the least-loaded
-        # worker, annulus k weighing 2k + 1 area shares per realization.
-        loads, shares = [0] * workers, [[] for _ in range(workers)]
-        for k in range(5, -1, -1):
-            for b, size in batches:
-                w = loads.index(min(loads))
-                loads[w] += (2 * k + 1) * size
-                shares[w].append((k, b, size))
-        # A child starts some ms after its fork and is reaped only once it has
-        # exited, so the caller takes the heaviest share.
-        shares = [shares[w] for w in sorted(range(workers), key=loads.__getitem__, reverse=True)]
-        drawn = _shared(len(batches), 6, 3, _BATCH)
+        # Imported here: it adds 4-7 ms to importing the package.
+        from concurrent.futures import ThreadPoolExecutor
 
-        def prefetch(w: int) -> None:
-            for k, b, size in shares[w]:
-                _ring_draw(cfg, spec.seed, k, b, drawn[b, k, :, :size])
-
-        _forked(prefetch, workers)
+        drawn = np.empty((len(batches), 6, 3, _BATCH))
+        # Outer annuli, the largest, first, so the queue balances the threads.
+        units = [(k, b, drawn[b, k, :, :size]) for k in range(5, -1, -1) for b, size in batches]
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda unit: _ring_draw(cfg, spec.seed, *unit), units))
         workers = 1
 
     def work(w: int) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -62,6 +63,11 @@ def sf_params(sf: int) -> SfParams:
     return _SF_TABLE[sf - SF_MIN]
 
 
+# The largest radius R whose 5 * R, in the last ring start 5 * R / 6, is a
+# finite double: 5 * math.nextafter(_MAX_RADIUS, math.inf) overflows.
+_MAX_RADIUS = sys.float_info.max / 5
+
+
 class OutOfCellError(ValueError):
     """Distance outside the cell ``[min_distance_km, cell_radius_km]``
     (:func:`require_in_cell`), or, in :func:`annulus_to_sf`, which reads no
@@ -75,22 +81,20 @@ def annulus_to_sf(distance_km: float, cell_radius_km: float) -> int:
     belong to the outer ring and the outermost ring is closed at ``R``.  The
     SF is 7 plus the number of ring starts ``k*R/6``, k = 1..5, at or below
     the distance, compared as computed: ``int(6*d/R)`` alone rounds some
-    starts into the inner ring (``R = 0.7``, ``k = 3``).
+    starts into the inner ring (``R = 0.7``, ``k = 3``).  ``R`` must be
+    positive, with ``5*R`` finite.
     """
-    distance_km = require_real("distance_km", distance_km)
-    cell_radius_km = require_real("cell_radius_km", cell_radius_km)
-    if not 0 <= distance_km <= cell_radius_km:
-        raise OutOfCellError(
-            f"distance {distance_km} km outside cell [0, {cell_radius_km}] km"
-        )
-    # int(6*d/R) is off by at most one ring; the object sampler calls this
-    # once per device, so correct it rather than count all five starts.
-    ring = min(int(6.0 * distance_km / cell_radius_km), 5)
-    if distance_km < ring * cell_radius_km / 6:
-        ring -= 1
-    elif ring < 5 and distance_km >= (ring + 1) * cell_radius_km / 6:
-        ring += 1
-    return SF_MIN + ring
+    d = require_real("distance_km", distance_km)
+    r = require_real("cell_radius_km", cell_radius_km)
+    if not 0 < r <= _MAX_RADIUS:
+        raise ConfigError(f"cell_radius_km must be > 0 with 5 * cell_radius_km finite, got {r}")
+    if not 0 <= d <= r:
+        raise OutOfCellError(f"distance {d} km outside cell [0, {r}] km")
+    # Unrolled: the object sampler calls this once per device.
+    return (
+        SF_MIN + (d >= r / 6) + (d >= 2 * r / 6) + (d >= 3 * r / 6) + (d >= 4 * r / 6)
+        + (d >= 5 * r / 6)
+    )
 
 
 @dataclass(frozen=True)

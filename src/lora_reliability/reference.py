@@ -33,6 +33,7 @@ from .params import (
     dbm_to_mw,
     require_in_cell,
     require_integer,
+    require_real,
     sf_params,
 )
 
@@ -103,27 +104,25 @@ def snr_success_empirical(
 
 def sample_device_count(mean: float, rng: np.random.Generator) -> int:
     """Draw the number of deployed devices, Poisson with the given mean."""
-    if mean < 0:
+    if (mean := require_real("mean", mean)) < 0:
         raise ConfigError(f"device-count mean must be >= 0, got {mean}")
     return int(rng.poisson(mean))
 
 
-def sample_realization(
-    cfg: NetworkConfig, desired_distance_km: float, rng: np.random.Generator
-) -> Realization:
-    """Sample one interference field around a desired device pinned at the
-    given distance.
+def sample_realization(cfg: NetworkConfig, d_km: float, rng: np.random.Generator) -> Realization:
+    """Sample one interference field around a desired device pinned at
+    ``d_km``, which must lie in the cell (:func:`params.require_in_cell`).
 
     The desired device gets the annulus SF of its distance and a fresh fading
     draw.  Interferer candidates are Poisson(mean_devices) many, placed
     uniformly by area, and each is active independently with probability
     ``duty_cycle``.
     """
-    desired_distance_km = require_in_cell(desired_distance_km, cfg)
+    d_km = require_in_cell(d_km, cfg)
     tx_mw = dbm_to_mw(cfg.tx_power_dbm)
     desired = EndDevice(
-        position=Position(desired_distance_km, 0.0),
-        sf=annulus_to_sf(desired_distance_km, cfg.cell_radius_km),
+        position=Position(d_km, 0.0),
+        sf=annulus_to_sf(d_km, cfg.cell_radius_km),
         tx_power_mw=tx_mw,
         fading=sample_fading(rng),
         active=True,

@@ -666,12 +666,15 @@ def test_only_the_package_root_imports_reference():
 def test_sweeps_and_cli_do_not_load_scipy():
     """Only the quadrature oracle needs scipy, and it imports it when
     called; a fresh interpreter runs the import, a small sweep of each kind
-    and the command line without loading it."""
+    and the command line without loading it.  The import does not load
+    ``concurrent.futures`` either, which only a distance sweep of fewer
+    batches than workers uses."""
     code = textwrap.dedent(
         """
         import contextlib, io, sys
         import lora_reliability as lr
         from lora_reliability import cli
+        assert "concurrent.futures" not in sys.modules
 
         cfg = lr.NetworkConfig()
         spec = lr.SweepSpec("distance", (1.0, 7.0), 100, 1)

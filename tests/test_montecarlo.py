@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -280,13 +281,14 @@ def test_density_batch_merge_independent_of_thread_count(monkeypatch):
 def test_point_sums_independent_of_thread_count(monkeypatch):
     """With at least W batches (seven, the last one partial), worker w of W
     draws, folds and evaluates batches w, w + W, ...; with fewer (one
-    partial batch, and two at three and six workers), the workers draw the
-    (annulus, batch) units and the calling process folds and evaluates every
-    batch.  Either way the calling process adds the batches' rows in batch
-    order: every point's raw sums, empty annuli included, are the same
-    doubles at any worker count as those of one running array, and no child
-    outlives the call.  The process may use six CPUs, and there are six
-    units per batch, so the sweep forks W - 1 = threads - 1 children."""
+    partial batch, and two at three and six workers), a pool of W threads
+    draws the (annulus, batch) units and the calling process folds and
+    evaluates every batch.  Either way the calling process adds the
+    batches' rows in batch order: every point's raw sums, empty annuli
+    included, are the same doubles at any worker count as those of one
+    running array, and no child outlives the call.  The process may use six
+    CPUs, and there are six units per batch, so W = threads; the sweep forks
+    W - 1 children with at least W batches and none with fewer."""
     fold, folds = montecarlo._fold, []
 
     def counted_fold(rings):
@@ -302,7 +304,7 @@ def test_point_sums_independent_of_thread_count(monkeypatch):
         for threads in (2, 3, 6):
             folds.clear()
             sums, csv, forks = _sums_and_csv(monkeypatch, "distance", threads, n)
-            assert forks == threads - 1
+            assert forks == (threads - 1 if batches >= threads else 0)
             # The calling process folds its own batches, or all of them.
             own = len(range(0, batches, threads)) if batches >= threads else batches
             assert len(folds) == own
@@ -374,6 +376,28 @@ def _assert_worker_failure(monkeypatch, kind, fails_in):
     else:
         with pytest.raises(ZeroDivisionError, match="sampler failed"):
             sweep(NetworkConfig(), spec, threads=3)
+    _assert_no_child()
+
+
+def test_distance_unit_draw_failure_raises_and_leaves_no_thread(monkeypatch):
+    """With one batch, fewer than the workers, a sampler that raises on one
+    annulus in a drawing thread makes the sweep raise that error in the
+    calling process; the pool's threads are joined, and nothing is forked."""
+    cfg = NetworkConfig()
+    draw, bad = montecarlo._field_powers, montecarlo._ring_intervals(cfg)[3]
+
+    def failing(*args):
+        if args[-1] == bad:  # the sub-field's interval
+            raise ZeroDivisionError("sampler failed")
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "_field_powers", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    sweep, spec, _ = _case("distance", 3000)
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="sampler failed"):
+        sweep(cfg, spec, threads=2)
+    assert threading.active_count() == threads
     _assert_no_child()
 
 

@@ -23,7 +23,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import from_dtype
 
 from lora_reliability import montecarlo
-from lora_reliability.channel import ChannelModel, snr_success_probability
+from lora_reliability.channel import ChannelModel, path_loss, snr_success_probability
 from lora_reliability.cli import curve_to_csv
 from lora_reliability.montecarlo import (
     SweepSpec,
@@ -33,7 +33,8 @@ from lora_reliability.montecarlo import (
     estimate_mean_sir,
     success_vs_distance,
 )
-from lora_reliability.params import ConfigError, NetworkConfig, annulus_to_sf
+from lora_reliability.params import ConfigError, NetworkConfig, OutOfCellError, annulus_to_sf
+from lora_reliability.reference import sample_device_count, sample_realization
 
 REAL_FIELDS = [f.name for f in fields(NetworkConfig) if f.name != "seed"]
 
@@ -121,6 +122,48 @@ def test_mean_sir_distance_follows_the_real_rule(tagged):
 def test_annulus_to_sf_follows_the_real_rule(key, tagged):
     base = {"distance_km": 1.0, "cell_radius_km": 12.0}
     _meets_the_rule(lambda v: annulus_to_sf(**{**base, key: v}), key, tagged)
+
+
+@given(_REALS, _REALS)
+@example(0.0, 0.0)  # once ZeroDivisionError
+@example(1e308, 1e308)  # once OverflowError
+@example(1.0, sys.float_info.max / 5)  # the largest R whose 5 * R is finite
+@example(1.0, math.nextafter(sys.float_info.max / 5, math.inf))
+def test_annulus_to_sf_counts_ring_starts_of_any_pair(distance, radius):
+    """Drawn together, any two reals give the SF of the ring starts
+    ``k * R / 6``, k = 1..5, at or below the distance, or a ``ValueError``
+    naming what is wrong: a radius that is not positive, or whose ``5 * R``
+    overflows, or a distance outside ``[0, R]``."""
+    d, r = float(distance), float(radius)
+    if not 0 < 5 * r < math.inf:
+        with pytest.raises(ConfigError, match="cell_radius_km must be > 0"):
+            annulus_to_sf(distance, radius)
+    elif not 0 <= d <= r:
+        with pytest.raises(OutOfCellError):
+            annulus_to_sf(distance, radius)
+    else:
+        assert annulus_to_sf(distance, radius) == 7 + sum(d >= k * r / 6 for k in range(1, 6))
+
+
+@given(VALUES)
+@example((False, "1"))
+@example((True, 6.2e-149))  # once OverflowError: the gain passes the doubles
+def test_path_loss_distance_follows_the_real_rule(tagged):
+    model = ChannelModel(0.345, 2.7, 1e-12)
+    _meets_the_rule(lambda v: path_loss(v, model), "d_km", tagged)
+
+
+@given(VALUES)
+@example((False, "1"))
+def test_device_count_mean_follows_the_real_rule(tagged):
+    _meets_the_rule(lambda v: sample_device_count(v, np.random.default_rng(0)), "mean", tagged)
+
+
+@given(VALUES)
+@example((False, "1"))
+def test_realization_distance_follows_the_real_rule(tagged):
+    cfg = NetworkConfig(mean_devices=10.0)
+    _meets_the_rule(lambda v: sample_realization(cfg, v, np.random.default_rng(0)), "d_km", tagged)
 
 
 @given(st.sampled_from(["wavelength_m", "path_loss_exponent", "noise_mw"]), VALUES)
